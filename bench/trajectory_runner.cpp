@@ -40,11 +40,12 @@ struct Workload {
   std::function<void(std::map<std::string, std::int64_t>*)> run;
 };
 
+// Adds (not assigns), so a workload of several solves reports totals.
 void counters_from_stats(const Stats& stats,
                          std::map<std::string, std::int64_t>* out) {
   for (const auto& [name, value] : stats.all()) {
     if (name.rfind("time.", 0) == 0) continue;
-    (*out)[name] = value;
+    (*out)[name] += value;
   }
 }
 

@@ -47,7 +47,9 @@ AnalysisResult analyze_conflict(const prop::Engine& engine,
   auto expand = [&](std::int32_t e) {
     ++resolutions;
     if (options.record_premises) premises.push_back(e);
-    for (std::int32_t a : engine.all_antecedents(e)) push(a);
+    for (std::int32_t a : engine.antecedents(static_cast<std::size_t>(e)))
+      push(a);
+    push(trail[static_cast<std::size_t>(e)].prev_on_net);
   };
 
   for (std::int32_t e : engine.conflict().antecedents) push(e);

@@ -128,17 +128,17 @@ bool ClauseDb::imply_or_conflict(std::uint32_t id, std::size_t unit_index,
       activity_increment_ *= 1e-20;
     }
   }
-  std::vector<std::int32_t> antecedents;
+  antecedents_.clear();
   for (std::size_t i = 0; i < c.lits.size(); ++i) {
     if (!conflicting && i == unit_index) continue;
     const std::int32_t e = engine.latest_event(c.lits[i].net);
-    if (e >= 0) antecedents.push_back(e);
+    if (e >= 0) antecedents_.push_back(e);
   }
   if (conflicting) {
     prop::Conflict conflict;
     conflict.kind = prop::ReasonKind::kClause;
     conflict.reason_id = id;
-    conflict.antecedents = std::move(antecedents);
+    conflict.antecedents = antecedents_;
     engine.fail(std::move(conflict));
     return false;
   }
@@ -148,7 +148,7 @@ bool ClauseDb::imply_or_conflict(std::uint32_t id, std::size_t unit_index,
   // cannot be imposed; the clause stays pending (sound, merely lazier).
   if (target == engine.interval(unit.net)) return true;
   return engine.narrow(unit.net, target, prop::ReasonKind::kClause, id,
-                       std::move(antecedents));
+                       antecedents_);
 }
 
 bool ClauseDb::on_watched_event(std::uint32_t id, ir::NetId net,
@@ -242,7 +242,8 @@ std::size_t ClauseDb::reduce(const prop::Engine& engine) {
 
 bool ClauseDb::propagate(prop::Engine& engine, std::size_t* cursor) {
   // Rewind past any events undone by engine rollbacks since the last call.
-  *cursor = std::min(*cursor, engine.consume_trail_low_water());
+  *cursor = std::min(*cursor, engine.consume_trail_low_water(
+                                  prop::Engine::TrailReader::kClauses));
 
   // Clauses added since the last call get their watches and initial check.
   while (!fresh_.empty()) {

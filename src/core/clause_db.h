@@ -133,6 +133,7 @@ class ClauseDb {
   std::vector<int> net_weight_;
   std::vector<std::array<int, 2>> literal_weight_;
   std::vector<std::uint32_t> fresh_;  // added but not yet propagated
+  std::vector<std::int32_t> antecedents_;  // imply_or_conflict scratch
   std::size_t learnt_count_ = 0;
   std::int64_t lits_heap_bytes_ = 0;
   double activity_increment_ = 1.0;

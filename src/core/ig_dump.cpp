@@ -33,7 +33,7 @@ std::string implication_graph_dot(const prop::Engine& engine) {
       os << " by clause " << ev.reason_id;
     }
     os << "\", fillcolor=" << event_color(ev) << "];\n";
-    for (const std::int32_t a : ev.antecedents)
+    for (const std::int32_t a : engine.antecedents(i))
       os << "  e" << a << " -> e" << i << ";\n";
     if (ev.prev_on_net >= 0)
       os << "  e" << ev.prev_on_net << " -> e" << i << " [style=dotted];\n";

@@ -1,6 +1,7 @@
 #include "core/justify.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "ir/analysis.h"
 
@@ -22,6 +23,21 @@ Justifier::Justifier(const ir::Circuit& circuit)
   std::sort(candidates_.begin(), candidates_.end(), [this](NetId a, NetId b) {
     return level_[a] != level_[b] ? level_[a] > level_[b] : a > b;
   });
+  // Counting sort of (net, rank) pairs into the per-net watch lists.
+  watch_begin_.assign(circuit.num_nets() + 1, 0);
+  const auto for_each_watch = [&](auto&& fn) {
+    for (std::uint32_t r = 0; r < candidates_.size(); ++r) {
+      fn(candidates_[r], r);
+      for (NetId o : circuit.node(candidates_[r]).operands) fn(o, r);
+    }
+  };
+  for_each_watch([&](NetId n, std::uint32_t) { ++watch_begin_[n + 1]; });
+  for (std::size_t n = 0; n < circuit.num_nets(); ++n)
+    watch_begin_[n + 1] += watch_begin_[n];
+  watch_.resize(watch_begin_.back());
+  std::vector<std::uint32_t> fill(watch_begin_.begin(), watch_begin_.end() - 1);
+  for_each_watch([&](NetId n, std::uint32_t r) { watch_[fill[n]++] = r; });
+  unjustified_.assign((candidates_.size() + 63) / 64, 0);
 }
 
 bool Justifier::unjustified(const prop::Engine& engine, NetId id) const {
@@ -112,20 +128,61 @@ std::optional<JustifyDecision> Justifier::justify_gate(
   }
 }
 
-std::optional<JustifyDecision> Justifier::pick(const prop::Engine& engine,
+std::int64_t Justifier::recheck(const prop::Engine& engine, NetId net) {
+  for (std::uint32_t i = watch_begin_[net]; i < watch_begin_[net + 1]; ++i) {
+    const std::uint32_t r = watch_[i];
+    const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+    if (unjustified(engine, candidates_[r])) {
+      unjustified_[r / 64] |= bit;
+    } else {
+      unjustified_[r / 64] &= ~bit;
+    }
+  }
+  return watch_begin_[net + 1] - watch_begin_[net];
+}
+
+std::int64_t Justifier::sync(prop::Engine& engine) {
+  const auto& trail = engine.trail();
+  const std::size_t low = std::min(
+      engine.consume_trail_low_water(prop::Engine::TrailReader::kFrontier),
+      seen_.size());
+  std::int64_t checks = 0;
+  if (!primed_) {
+    for (std::uint32_t r = 0; r < candidates_.size(); ++r) {
+      if (unjustified(engine, candidates_[r]))
+        unjustified_[r / 64] |= std::uint64_t{1} << (r % 64);
+    }
+    checks += static_cast<std::int64_t>(candidates_.size());
+    primed_ = true;
+    for (const prop::Event& ev : trail) seen_.push_back(ev.net);
+    return checks;
+  }
+  // Undone events: their nets are back to older intervals.
+  for (std::size_t i = low; i < seen_.size(); ++i)
+    checks += recheck(engine, seen_[i]);
+  seen_.resize(low);
+  for (std::size_t i = low; i < trail.size(); ++i) {
+    checks += recheck(engine, trail[i].net);
+    seen_.push_back(trail[i].net);
+  }
+  return checks;
+}
+
+std::optional<JustifyDecision> Justifier::pick(prop::Engine& engine,
                                                const ClauseDb* db,
-                                               std::int64_t* scanned) const {
-  std::int64_t examined = 0;
-  for (NetId id : candidates_) {
-    ++examined;
-    if (!unjustified(engine, id)) continue;
-    if (auto decision = justify_gate(engine, id, db)) {
-      if (scanned != nullptr) *scanned += examined;
-      return decision;
+                                               std::int64_t* scanned) {
+  std::int64_t examined = sync(engine);
+  std::optional<JustifyDecision> decision;
+  for (std::size_t w = 0; w < unjustified_.size() && !decision; ++w) {
+    for (std::uint64_t bits = unjustified_[w]; bits != 0 && !decision;
+         bits &= bits - 1) {
+      ++examined;
+      const std::size_t r = w * 64 + std::countr_zero(bits);
+      decision = justify_gate(engine, candidates_[r], db);
     }
   }
   if (scanned != nullptr) *scanned += examined;
-  return std::nullopt;
+  return decision;
 }
 
 std::size_t Justifier::frontier_size(const prop::Engine& engine) const {

@@ -31,28 +31,43 @@ class Justifier {
  public:
   explicit Justifier(const ir::Circuit& circuit);
 
-  // Scans the implicit J-frontier (highest level first — justification
-  // flows from the constrained outputs back towards the inputs) and
-  // returns a decision for the first unjustified gate, or nullopt when the
-  // frontier is empty. `db` may be null; when present, free value choices
-  // are weighted by learned-relation satisfaction. `scanned`, when non-null,
-  // accumulates the number of candidate gates examined (observability).
-  std::optional<JustifyDecision> pick(const prop::Engine& engine,
-                                      const ClauseDb* db,
-                                      std::int64_t* scanned = nullptr) const;
+  // Returns a decision for the first unjustified gate of the J-frontier in
+  // rank order (highest level first — justification flows from the
+  // constrained outputs back towards the inputs), or nullopt when the
+  // frontier is empty. The frontier is kept incrementally: a call re-checks
+  // only the gates next to nets narrowed or undone since the previous call
+  // (found through the engine's kFrontier trail low water), so a Justifier
+  // serves a single engine. `db` may be null; when present, free value
+  // choices are weighted by learned-relation satisfaction. `scanned`, when
+  // non-null, accumulates the number of gate checks (observability).
+  std::optional<JustifyDecision> pick(prop::Engine& engine, const ClauseDb* db,
+                                      std::int64_t* scanned = nullptr);
 
   // Diagnostic: the frontier size under the current assignment.
   std::size_t frontier_size(const prop::Engine& engine) const;
 
  private:
   bool unjustified(const prop::Engine& engine, ir::NetId id) const;
+  // Folds the trail changes since the previous call into unjustified_;
+  // returns the number of gates re-checked.
+  std::int64_t sync(prop::Engine& engine);
+  std::int64_t recheck(const prop::Engine& engine, ir::NetId net);
   std::optional<JustifyDecision> justify_gate(const prop::Engine& engine,
                                               ir::NetId id,
                                               const ClauseDb* db) const;
 
   const ir::Circuit& circuit_;
-  // Candidate gates sorted by level, deepest first.
+  // Candidate gates sorted by level, deepest first; a gate's rank is its
+  // index here.
   std::vector<ir::NetId> candidates_;
+  // Per net, the ranks of the candidates whose status reads it (the net's
+  // own gate and the gates it feeds): watch_[watch_begin_[n] ..
+  // watch_begin_[n + 1]).
+  std::vector<std::uint32_t> watch_begin_;
+  std::vector<std::uint32_t> watch_;
+  std::vector<std::uint64_t> unjustified_;  // one bit per rank
+  std::vector<ir::NetId> seen_;  // nets of the trail prefix folded in
+  bool primed_ = false;          // unjustified_ reflects seen_
   std::vector<int> fanout_count_;
   std::vector<int> level_;
 };

@@ -137,7 +137,12 @@ PredicateLearningReport run_predicate_learning(
     const PredicateLearningOptions& options) {
   PredicateLearningReport report;
   Timer timer;
-  if (options.max_relations <= 0) return report;
+  // Every exit, early ones included, reports the time spent so far.
+  const auto finish = [&] {
+    report.seconds = timer.seconds();
+    return report;
+  };
+  if (options.max_relations <= 0) return finish();
   RTLSAT_ASSERT(engine.level() == 0 && !engine.in_conflict());
   trace::Tracer* tracer =
       options.tracer != nullptr ? options.tracer : &trace::global();
@@ -188,7 +193,7 @@ PredicateLearningReport run_predicate_learning(
 
   for (NetId b : candidates) {
     if (report.relations_learned >= options.max_relations) break;
-    if (stopped()) return report;  // partial report; committed clauses stand
+    if (stopped()) return finish();  // partial report; committed clauses stand
     for (int v = 0; v <= 1; ++v) {
       if (report.relations_learned >= options.max_relations) break;
       if (engine.bool_value(b) >= 0) break;  // already fixed at level 0
@@ -208,7 +213,7 @@ PredicateLearningReport run_predicate_learning(
             {HybridLit::boolean(b, v == 0)}, true,
             HybridClause::Origin::kPredicateLearning});
         if (proof != nullptr) proof->probe_commit(pending);
-        if (!commit_pending()) return report;
+        if (!commit_pending()) return finish();
         continue;
       }
 
@@ -250,7 +255,7 @@ PredicateLearningReport run_predicate_learning(
               {HybridLit::boolean(b, v == 0)}, true,
               HybridClause::Origin::kPredicateLearning});
           if (proof != nullptr) proof->probe_commit(pending);
-          if (!commit_pending()) return report;
+          if (!commit_pending()) return finish();
           continue;
         }
 
@@ -281,7 +286,7 @@ PredicateLearningReport run_predicate_learning(
 
       engine.backtrack_to_level(0);
       if (proof != nullptr) proof->probe_commit(pending);
-      if (!commit_pending()) return report;
+      if (!commit_pending()) return finish();
     }
   }
 
@@ -304,7 +309,8 @@ PredicateLearningReport run_predicate_learning(
 
     for (const NetId w : word_candidates) {
       if (probes_left-- <= 0) break;
-      if (stopped()) return report;  // partial report; committed clauses stand
+      // A partial report; the committed clauses stand.
+      if (stopped()) return finish();
       const Interval dom = engine.interval(w);
       if (dom.count() < 2) continue;
       ++report.probes;
@@ -338,7 +344,7 @@ PredicateLearningReport run_predicate_learning(
         // refutation (no engine conflict survives the rollbacks).
         if (proof != nullptr) proof->wprobe_commit({}, /*refuted=*/true);
         report.proven_unsat = true;
-        return report;
+        return finish();
       }
       if (feasible < 2) continue;  // one half dead: conservatively skip
 
@@ -356,15 +362,14 @@ PredicateLearningReport run_predicate_learning(
                                        HybridClause::Origin::kPredicateLearning});
       }
       if (proof != nullptr) proof->wprobe_commit(pending, /*refuted=*/false);
-      if (!commit_pending()) return report;
+      if (!commit_pending()) return finish();
     }
   }
 
-  report.seconds = timer.seconds();
   RTLSAT_DEBUG("predicate learning: %d relations, %d units, %d probes, %.3fs",
                report.relations_learned, report.units_learned, report.probes,
-               report.seconds);
-  return report;
+               timer.seconds());
+  return finish();
 }
 
 }  // namespace rtlsat::core

@@ -54,7 +54,7 @@ std::vector<std::string> check_engine(const prop::Engine& engine) {
       bad(str_format("event %zu at level %u exceeds the engine level %u", i,
                      ev.level, engine.level()));
     }
-    for (const std::int32_t a : ev.antecedents) {
+    for (const std::int32_t a : engine.antecedents(i)) {
       if (a < 0 || static_cast<std::size_t>(a) >= i) {
         bad(str_format("event %zu has antecedent %d that does not strictly "
                        "precede it — the implication graph has a cycle",

@@ -56,7 +56,7 @@ void Engine::enqueue_all_nodes() {
 
 bool Engine::narrow(NetId net, const Interval& to, ReasonKind kind,
                     std::uint32_t reason_id,
-                    std::vector<std::int32_t> antecedents) {
+                    std::span<const std::int32_t> antecedents) {
   RTLSAT_ASSERT(!conflict_.valid);
   const Interval next = domain_[net].intersect(to);
   if (next == domain_[net]) return true;
@@ -65,19 +65,20 @@ bool Engine::narrow(NetId net, const Interval& to, ReasonKind kind,
     conflict_.kind = kind;
     conflict_.reason_id = reason_id;
     conflict_.net = net;
-    conflict_.antecedents = std::move(antecedents);
+    conflict_.antecedents.assign(antecedents.begin(), antecedents.end());
     if (latest_[net] >= 0) conflict_.antecedents.push_back(latest_[net]);
     tracer_->record(trace::EventKind::kPropConflict, level_, net,
                     static_cast<std::int64_t>(kind));
     return false;
   }
-  record_event(net, next, kind, reason_id, std::move(antecedents));
+  const std::size_t ante_begin = arena_.size();
+  arena_.insert(arena_.end(), antecedents.begin(), antecedents.end());
+  record_event(net, next, kind, reason_id, ante_begin);
   return true;
 }
 
 void Engine::record_event(NetId net, const Interval& next, ReasonKind kind,
-                          std::uint32_t reason_id,
-                          std::vector<std::int32_t> antecedents) {
+                          std::uint32_t reason_id, std::size_t ante_begin) {
   Event ev;
   ev.net = net;
   ev.prev = domain_[net];
@@ -86,7 +87,8 @@ void Engine::record_event(NetId net, const Interval& next, ReasonKind kind,
   ev.kind = kind;
   ev.reason_id = reason_id;
   ev.prev_on_net = latest_[net];
-  ev.antecedents = std::move(antecedents);
+  ev.ante_begin = static_cast<std::uint32_t>(ante_begin);
+  ev.ante_end = static_cast<std::uint32_t>(arena_.size());
   latest_[net] = static_cast<std::int32_t>(trail_.size());
   domain_[net] = next;
   if (!circuit_.is_bool(net)) ++num_datapath_narrowings_;
@@ -94,9 +96,7 @@ void Engine::record_event(NetId net, const Interval& next, ReasonKind kind,
     tracer_->record(trace::EventKind::kNarrowing, level_, net,
                     static_cast<std::int64_t>(next.count()));
   }
-  trail_.push_back(std::move(ev));
-  antecedent_bytes_ += static_cast<std::int64_t>(
-      trail_.back().antecedents.capacity() * sizeof(std::int32_t));
+  trail_.push_back(ev);
   enqueue_neighbourhood(net);
 }
 
@@ -112,17 +112,15 @@ void Engine::enqueue_neighbourhood(NetId net) {
   for (NetId reader : fanout_[net]) enqueue_node(reader);
 }
 
-std::vector<std::int32_t> Engine::incident_events(NetId node,
-                                                  NetId skip) const {
-  std::vector<std::int32_t> events;
+void Engine::append_incident_events(NetId node, NetId skip,
+                                    std::vector<std::int32_t>& out) const {
   auto add = [&](NetId n) {
     if (n == skip) return;
     const std::int32_t e = latest_[n];
-    if (e >= 0) events.push_back(e);
+    if (e >= 0) out.push_back(e);
   };
   add(node);
   for (NetId o : circuit_.node(node).operands) add(o);
-  return events;
 }
 
 bool Engine::propagate() {
@@ -147,7 +145,8 @@ bool Engine::propagate() {
         conflict_.kind = ReasonKind::kNode;
         conflict_.reason_id = node;
         conflict_.net = nw.net;
-        conflict_.antecedents = incident_events(node, ir::kNoNet);
+        conflict_.antecedents.clear();
+        append_incident_events(node, ir::kNoNet, conflict_.antecedents);
         tracer_->record(trace::EventKind::kPropConflict, level_, nw.net,
                         static_cast<std::int64_t>(ReasonKind::kNode));
         // Drain the queue flags so a later propagate() starts clean.
@@ -160,8 +159,9 @@ bool Engine::propagate() {
       // have tightened the net further, so re-intersect.
       const Interval next = domain_[nw.net].intersect(nw.interval);
       if (next == domain_[nw.net]) continue;
-      record_event(nw.net, next, ReasonKind::kNode, node,
-                   incident_events(node, nw.net));
+      const std::size_t ante_begin = arena_.size();
+      append_incident_events(node, nw.net, arena_);
+      record_event(nw.net, next, ReasonKind::kNode, node, ante_begin);
     }
   }
   return true;
@@ -169,13 +169,13 @@ bool Engine::propagate() {
 
 void Engine::rollback_to(std::size_t mark) {
   RTLSAT_ASSERT(mark <= trail_.size());
-  low_water_ = std::min(low_water_, mark);
+  for (std::size_t& low_water : low_water_)
+    low_water = std::min(low_water, mark);
+  if (mark < trail_.size()) arena_.resize(trail_[mark].ante_begin);
   while (trail_.size() > mark) {
     const Event& ev = trail_.back();
     domain_[ev.net] = ev.prev;
     latest_[ev.net] = ev.prev_on_net;
-    antecedent_bytes_ -= static_cast<std::int64_t>(
-        ev.antecedents.capacity() * sizeof(std::int32_t));
     trail_.pop_back();
   }
   for (NetId q : queue_) in_queue_[q] = false;
@@ -188,16 +188,6 @@ void Engine::backtrack_to_level(std::uint32_t level) {
   while (keep > 0 && trail_[keep - 1].level > level) --keep;
   rollback_to(keep);
   level_ = level;
-}
-
-std::vector<std::int32_t> Engine::all_antecedents(
-    std::int32_t event_index) const {
-  RTLSAT_ASSERT(event_index >= 0 &&
-                static_cast<std::size_t>(event_index) < trail_.size());
-  const Event& ev = trail_[event_index];
-  std::vector<std::int32_t> result = ev.antecedents;
-  if (ev.prev_on_net >= 0) result.push_back(ev.prev_on_net);
-  return result;
 }
 
 bool Engine::all_booleans_assigned() const {

@@ -14,7 +14,9 @@
 // §3's recursive learning.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "interval/interval.h"
@@ -36,8 +38,8 @@ enum class ReasonKind : std::uint8_t {
 };
 
 // One narrowing on the trail. prev_on_net chains the events of a single
-// net; `antecedents` lists the latest events of the other nets that entered
-// the implying rule (−1-free; initial full domains need no antecedent).
+// net; Engine::antecedents() lists the latest events of the other nets that
+// entered the implying rule (−1-free; initial full domains need none).
 struct Event {
   ir::NetId net = ir::kNoNet;
   Interval prev;
@@ -46,7 +48,7 @@ struct Event {
   ReasonKind kind = ReasonKind::kAssumption;
   std::uint32_t reason_id = 0;
   std::int32_t prev_on_net = -1;
-  std::vector<std::int32_t> antecedents;
+  std::uint32_t ante_begin = 0, ante_end = 0;  // slice of the arena
 
   // A Boolean assignment event: a 1-bit net narrowed to a point.
   bool is_bool_assignment() const { return cur.is_point() && prev.count() == 2; }
@@ -97,7 +99,7 @@ class Engine {
   // narrowing that does not change the interval is a silent no-op.
   bool narrow(ir::NetId net, const Interval& to, ReasonKind kind,
               std::uint32_t reason_id = 0,
-              std::vector<std::int32_t> antecedents = {});
+              std::span<const std::int32_t> antecedents = {});
 
   // Runs node rules to fixpoint. Returns false on conflict.
   bool propagate();
@@ -120,22 +122,27 @@ class Engine {
   std::size_t mark() const { return trail_.size(); }
   // Undoes all events at trail index ≥ mark and clears any conflict.
   void rollback_to(std::size_t mark);
-  // Lowest trail size reached since the previous call (single consumer:
-  // the clause database uses it to rewind its trail cursor past events
-  // undone by backtracking — a plain clamp to the current size is not
-  // enough, because new events may already have replaced the undone ones).
-  std::size_t consume_trail_low_water() {
-    const std::size_t low = std::min(low_water_, trail_.size());
-    low_water_ = trail_.size();
+  // Lowest trail size reached since `reader`'s previous call. A reader that
+  // keeps a trail position (the clause database's cursor, the J-frontier)
+  // rewinds it past events undone by backtracking — a plain clamp to the
+  // current size is not enough, because new events may already have
+  // replaced the undone ones.
+  enum class TrailReader : std::uint8_t { kClauses, kFrontier };
+  std::size_t consume_trail_low_water(TrailReader reader) {
+    std::size_t& low_water = low_water_[static_cast<std::size_t>(reader)];
+    const std::size_t low = std::min(low_water, trail_.size());
+    low_water = trail_.size();
     return low;
   }
   // Undoes all events with level > `level` (events are level-monotone along
   // the trail) and makes `level` current.
   void backtrack_to_level(std::uint32_t level);
 
-  // Antecedent events of `event_index`: its recorded antecedents plus the
-  // chain predecessor on the same net.
-  std::vector<std::int32_t> all_antecedents(std::int32_t event_index) const;
+  // Antecedents of trail event `i`, besides its implicit prev_on_net.
+  std::span<const std::int32_t> antecedents(std::size_t i) const {
+    return {arena_.data() + trail_[i].ante_begin,
+            arena_.data() + trail_[i].ante_end};
+  }
 
   // True when every 1-bit net inside `mask` (or everywhere if empty) is
   // assigned. Word nets may still be non-point — that is the FME solver's
@@ -149,11 +156,11 @@ class Engine {
 
   // Instrumented heap accounting for the metrics sampler (O(1) reads; see
   // src/metrics/memory.h). The implication graph is the trail plus the
-  // per-event antecedent arrays, tracked incrementally as events are
-  // recorded and rolled back; the interval store is the domain vector.
+  // antecedent arena at capacity (rollback keeps both for the next descent);
+  // the interval store is the domain vector.
   std::int64_t implication_graph_bytes() const {
-    return static_cast<std::int64_t>(trail_.capacity() * sizeof(Event)) +
-           antecedent_bytes_;
+    return static_cast<std::int64_t>(trail_.capacity() * sizeof(Event) +
+                                     arena_.capacity() * sizeof(std::int32_t));
   }
   std::int64_t interval_store_bytes() const {
     return static_cast<std::int64_t>(domain_.capacity() * sizeof(Interval));
@@ -178,20 +185,23 @@ class Engine {
   void set_stop(const StopToken* stop) { stop_ = stop; }
 
  private:
+  // Logs a narrowing whose antecedents are arena_[ante_begin, end).
   void record_event(ir::NetId net, const Interval& next, ReasonKind kind,
-                    std::uint32_t reason_id,
-                    std::vector<std::int32_t> antecedents);
+                    std::uint32_t reason_id, std::size_t ante_begin);
   void enqueue_neighbourhood(ir::NetId net);
   void enqueue_node(ir::NetId node);
-  // Latest events of all nets incident to `node` (operands + output),
-  // optionally skipping `skip`.
-  std::vector<std::int32_t> incident_events(ir::NetId node,
-                                            ir::NetId skip) const;
+  // Appends to `out` the latest events of all nets incident to `node`
+  // (operands + output), optionally skipping `skip`.
+  void append_incident_events(ir::NetId node, ir::NetId skip,
+                              std::vector<std::int32_t>& out) const;
 
   const ir::Circuit& circuit_;
   std::vector<Interval> domain_;
   std::vector<std::vector<ir::NetId>> fanout_;
   std::vector<Event> trail_;
+  // All events' antecedent lists back to back, in trail order: rollback
+  // truncates it with the trail, so recording an event never allocates.
+  std::vector<std::int32_t> arena_;
   std::vector<std::int32_t> latest_;
   std::vector<ir::NetId> queue_;
   std::vector<bool> in_queue_;
@@ -200,9 +210,8 @@ class Engine {
   const StopToken* stop_ = nullptr;
   std::int32_t stop_countdown_ = kStopCheckInterval;
   static constexpr std::int32_t kStopCheckInterval = 4096;
-  std::size_t low_water_ = 0;
+  std::array<std::size_t, 2> low_water_{};  // by TrailReader
   std::uint32_t level_ = 0;
-  std::int64_t antecedent_bytes_ = 0;
   std::int64_t num_propagations_ = 0;
   std::int64_t num_datapath_narrowings_ = 0;
   std::vector<Narrowing> scratch_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "bmc/unroll.h"
+#include "itc99/itc99.h"
+
 namespace rtlsat::core {
 namespace {
 
@@ -233,6 +236,53 @@ TEST(Hdpll, RandomDecisionAblationStillSound) {
   ASSERT_EQ(result.status, SolveStatus::kSat);
   EXPECT_EQ(result.input_model.at(y), 42);
 }
+
+// Pins the exact search of two small Table 2 rows. A change to a data
+// structure (trail, implication graph, J-frontier, clause database) must
+// leave every decision, conflict and propagation as it was; a change that
+// moves these numbers changes the search and needs its own justification.
+struct PinnedRow {
+  const char* circuit;
+  const char* property;
+  int bound;
+  bool structural;
+  std::int64_t decisions;
+  std::int64_t conflicts;
+  std::int64_t propagations;
+};
+
+// Keeps the test's full name stable (the default prints raw bytes,
+// pointers included).
+void PrintTo(const PinnedRow& row, std::ostream* os) {
+  *os << row.circuit << "_" << row.property << "(" << row.bound << ")"
+      << (row.structural ? " HDPLL+S" : " HDPLL");
+}
+
+class PinnedSearch : public ::testing::TestWithParam<PinnedRow> {};
+
+TEST_P(PinnedSearch, CountsUnchanged) {
+  const PinnedRow row = GetParam();
+  const bmc::BmcInstance instance =
+      bmc::unroll(itc99::build(row.circuit), row.property, row.bound);
+  HdpllOptions options;
+  options.structural_decisions = row.structural;
+  HdpllSolver solver(instance.circuit, options);
+  solver.assume_bool(instance.goal, true);
+  ASSERT_NE(solver.solve().status, SolveStatus::kTimeout);
+  EXPECT_EQ(solver.stats().get("hdpll.decisions"), row.decisions);
+  EXPECT_EQ(solver.stats().get("hdpll.conflicts"), row.conflicts);
+  EXPECT_EQ(solver.engine().num_propagations(), row.propagations);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, PinnedSearch,
+    ::testing::Values(PinnedRow{"b13", "5", 40, true, 931, 713, 562928},
+                      PinnedRow{"b13", "1", 40, false, 615, 262, 537861}),
+    [](const auto& info) {
+      return std::string(info.param.circuit) + "_" + info.param.property +
+             "_k" + std::to_string(info.param.bound) +
+             (info.param.structural ? "_s" : "_base");
+    });
 
 }  // namespace
 }  // namespace rtlsat::core

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bmc/unroll.h"
 #include "core/deduce.h"
+#include "itc99/itc99.h"
+#include "util/rng.h"
 
 namespace rtlsat::core {
 namespace {
@@ -138,6 +141,49 @@ TEST(Justify, DeepestGateFirst) {
   ASSERT_TRUE(decision.has_value());
   // Justifying the outer AND decides one of its free inputs.
   EXPECT_TRUE(decision->net == inner || decision->net == d);
+}
+
+// The frontier is kept incrementally across narrowings and backtracks; a
+// Justifier built fresh for the same domains must pick the same gate. A
+// random walk of decisions, conflicts and backjumps on a b13 unrolling
+// compares the two at every step (the fresh one reads a copy of the
+// engine, so it does not consume the long-lived one's trail low water).
+TEST(Justify, IncrementalFrontierMatchesFreshScan) {
+  const bmc::BmcInstance instance = bmc::unroll(itc99::build("b13"), "5", 20);
+  const Circuit& c = instance.circuit;
+  prop::Engine engine(c);
+  ASSERT_TRUE(engine.narrow(instance.goal, Interval::point(1),
+                            prop::ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  Justifier incremental(c);
+  Rng rng(7);
+  int decisions = 0;
+  for (int step = 0; step < 400; ++step) {
+    const auto got = incremental.pick(engine, nullptr);
+    prop::Engine snapshot = engine;
+    const auto want = Justifier(c).pick(snapshot, nullptr);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+    if (got) {
+      ASSERT_EQ(got->net, want->net) << "step " << step;
+      ASSERT_EQ(got->value, want->value) << "step " << step;
+    }
+    if (!got || rng.below(8) == 0) {
+      engine.backtrack_to_level(
+          static_cast<std::uint32_t>(rng.below(engine.level() + 1)));
+      continue;
+    }
+    engine.push_level();
+    ++decisions;
+    // Mostly follow the frontier; sometimes take the other value so the
+    // walk also meets conflicts.
+    const bool value = rng.below(4) == 0 ? !got->value : got->value;
+    if (!engine.narrow(got->net, Interval::point(value ? 1 : 0),
+                       prop::ReasonKind::kDecision) ||
+        !engine.propagate()) {
+      engine.backtrack_to_level(engine.level() - 1);
+    }
+  }
+  EXPECT_GT(decisions, 100);
 }
 
 TEST(RelationSatisfaction, CountsMatchingLearntClauses) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bmc/unroll.h"
 #include "core/deduce.h"
+#include "core/hdpll.h"
+#include "itc99/itc99.h"
 
 namespace rtlsat::core {
 namespace {
@@ -235,6 +238,22 @@ TEST(PredicateLearning, WordProbingDetectsEmptyDomainSplit) {
   } else {
     SUCCEED();  // propagation alone refuted it
   }
+}
+
+// A row that predicate learning refutes on its own takes an early exit;
+// the report must still carry the time learning took.
+TEST(PredicateLearning, EarlyRefutationReportsTime) {
+  const bmc::BmcInstance instance = bmc::unroll(itc99::build("b13"), "1", 30);
+  HdpllOptions options;
+  options.structural_decisions = true;
+  options.predicate_learning = true;
+  options.learning.max_relations = 2000;
+  HdpllSolver solver(instance.circuit, options);
+  solver.assume_bool(instance.goal, true);
+  const SolveResult result = solver.solve();
+  ASSERT_EQ(result.status, SolveStatus::kUnsat);
+  ASSERT_TRUE(result.learning.proven_unsat);
+  EXPECT_GT(result.learning.seconds, 0);
 }
 
 }  // namespace

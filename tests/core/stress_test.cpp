@@ -13,11 +13,15 @@
 namespace rtlsat::core {
 namespace {
 
+// Arrays rather than pointers: gtest lists a parameterised test under a
+// byte dump of its parameter, and a pointer's bytes change with every
+// process's load address. With no padding the dump is the same each run.
 struct StressCase {
-  const char* circuit;
-  const char* property;
+  char circuit[8];
+  char property[12];
   int bound;
 };
+static_assert(sizeof(StressCase) == 24, "no padding bytes");
 
 class StressConfig : public ::testing::TestWithParam<StressCase> {};
 

@@ -11,11 +11,15 @@
 namespace rtlsat {
 namespace {
 
+// Arrays rather than pointers: gtest lists a parameterised test under a
+// byte dump of its parameter, and a pointer's bytes change with every
+// process's load address. With no padding the dump is the same each run.
 struct InstanceCase {
-  const char* circuit;
-  const char* property;
+  char circuit[8];
+  char property[12];
   int bound;
 };
+static_assert(sizeof(InstanceCase) == 24, "no padding bytes");
 
 class BmcEndToEnd : public ::testing::TestWithParam<InstanceCase> {};
 

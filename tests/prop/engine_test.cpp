@@ -61,10 +61,59 @@ TEST(Engine, TrailRecordsEventsWithReasons) {
   EXPECT_EQ(engine.trail()[ea].kind, ReasonKind::kNode);
   EXPECT_EQ(engine.trail()[ea].reason_id, g);
   // The gate event is among a's antecedents.
-  const auto ants = engine.all_antecedents(ea);
   bool found = false;
-  for (std::int32_t e : ants) found = found || engine.trail()[e].net == g;
+  for (std::int32_t e : engine.antecedents(static_cast<std::size_t>(ea)))
+    found = found || engine.trail()[e].net == g;
   EXPECT_TRUE(found);
+}
+
+// The probe cycle of recursive learning and of every backtrack: descend a
+// level, narrow, propagate, undo. The antecedent arena is truncated with the
+// trail and keeps its capacity, so after the first cycle the implication
+// graph needs no more memory, and each cycle rebuilds the same graph.
+TEST(Engine, ArenaRollbackKeepsGraphFlat) {
+  Circuit c("t");
+  const NetId x = c.add_input("x", 8);
+  const NetId y = c.add_input("y", 8);
+  const NetId s = c.add_input("s", 1);
+  const NetId sum = c.add_add(x, y);
+  const NetId m = c.add_mux(s, sum, c.add_inc(x));
+  const NetId goal = c.add_and(c.add_lt(m, c.add_const(40, 8)),
+                               c.add_lt(c.add_const(10, 8), y));
+  Engine engine(c);
+  ASSERT_TRUE(engine.narrow(goal, Interval::point(1), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  const std::size_t root_events = engine.trail().size();
+
+  std::int64_t bytes_after_first = 0;
+  std::vector<std::vector<std::int32_t>> first_graph;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    engine.push_level();
+    ASSERT_TRUE(engine.narrow(s, Interval::point(1), ReasonKind::kDecision));
+    ASSERT_TRUE(engine.propagate());
+    const auto& trail = engine.trail();
+    ASSERT_GT(trail.size(), root_events + 1);  // the probe implied more
+    std::vector<std::vector<std::int32_t>> graph;
+    for (std::size_t i = 0; i < trail.size(); ++i) {
+      const auto ants = engine.antecedents(i);
+      for (const std::int32_t a : ants) {
+        ASSERT_GE(a, 0);
+        ASSERT_LT(static_cast<std::size_t>(a), i) << "event " << i;
+      }
+      ASSERT_LT(trail[i].prev_on_net, static_cast<std::int32_t>(i));
+      graph.emplace_back(ants.begin(), ants.end());
+    }
+    engine.backtrack_to_level(0);
+    ASSERT_EQ(engine.trail().size(), root_events);
+    if (cycle == 0) {
+      bytes_after_first = engine.implication_graph_bytes();
+      first_graph = std::move(graph);
+    } else {
+      EXPECT_EQ(engine.implication_graph_bytes(), bytes_after_first)
+          << "cycle " << cycle;
+      EXPECT_EQ(graph, first_graph) << "cycle " << cycle;
+    }
+  }
 }
 
 TEST(Engine, RollbackRestoresDomains) {
