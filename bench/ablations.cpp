@@ -111,5 +111,5 @@ int main(int argc, char** argv) {
     options.learning.word_probing = true;
     run_and_print("+ word-domain probing", instance, options);
   }
-  return 0;
+  return json.close() ? 0 : 1;
 }

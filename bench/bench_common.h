@@ -421,24 +421,23 @@ class BenchJson {
   // Sampler line count for the memory summary (0 = run was unsampled).
   void set_metrics_samples(std::int64_t samples) { metrics_samples_ = samples; }
 
-  void close() {
-    if (path_.empty() || closed_) return;
+  // Writes the file; false (after a message on stderr) when it cannot be
+  // written, so a bench's main can exit nonzero. Later calls return true.
+  bool close() {
+    if (path_.empty() || closed_) return true;
     closed_ = true;
     writer_.end_array();
-    // Memory summary, shared field names with the trajectory schema
-    // (src/metrics/trajectory.h) so the two report formats diff cleanly.
     const metrics::ProcMemory mem = metrics::read_proc_memory();
     writer_.key("rss_peak_kb").value(mem.ok ? mem.rss_peak_kb : 0);
     writer_.key("metrics_samples").value(metrics_samples_);
     writer_.end_object();
     std::FILE* f = std::fopen(path_.c_str(), "w");
-    if (f == nullptr) {
+    bool ok = f != nullptr && std::fputs(writer_.str().c_str(), f) >= 0 &&
+              std::fputc('\n', f) != EOF;
+    if (f != nullptr) ok = std::fclose(f) == 0 && ok;
+    if (!ok)
       std::fprintf(stderr, "cannot write bench json to %s\n", path_.c_str());
-      return;
-    }
-    std::fputs(writer_.str().c_str(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
+    return ok;
   }
 
  private:

@@ -125,5 +125,5 @@ int main(int argc, char** argv) {
       "2x-80x wins on the large b13 instances.\n");
   metrics.stop();
   json.set_metrics_samples(metrics.samples());
-  return 0;
+  return json.close() ? 0 : 1;
 }

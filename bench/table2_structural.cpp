@@ -176,5 +176,5 @@ int main(int argc, char** argv) {
   (void)kTo;
   metrics.stop();
   json.set_metrics_samples(metrics.samples());
-  return 0;
+  return json.close() ? 0 : 1;
 }

@@ -7,7 +7,6 @@
 //   $ ./bench_json_validate chrome out.trace.json      # Chrome trace_event
 //   $ ./bench_json_validate jsonl  out.jsonl           # tracer JSONL lines
 //   $ ./bench_json_validate timeseries ts.jsonl        # sampler time series
-//   $ ./bench_json_validate trajectory BENCH_*.json    # trajectory runner
 //   $ ./bench_json_validate loadgen loadgen.json       # serve loadgen --json
 //   $ ./bench_json_validate counters a.json b.json     # two bench --json
 //                              # files must have identical solver counters
@@ -22,7 +21,6 @@
 #include <sstream>
 #include <string>
 
-#include "metrics/trajectory.h"
 #include "trace/json.h"
 
 using rtlsat::trace::JsonValue;
@@ -106,7 +104,7 @@ bool validate_proof_counters(const JsonValue& counters,
 // Presolve-lane rows (config contains "presolve", emitted by the table
 // benches under --presolve) must carry the presolve.* rewrite counters:
 // every one a non-negative number, and at least one present — a lane that
-// stops exporting them would otherwise go green while the bench trajectory
+// stops exporting them would otherwise go green while the bench JSON
 // silently loses its presolve signal.
 bool validate_presolve_counters(const JsonValue& row,
                                 const JsonValue& counters,
@@ -317,34 +315,6 @@ bool validate_timeseries(const std::string& text) {
   return true;
 }
 
-// Trajectory files delegate the heavy lifting to the same parser the
-// bench_compare gate uses, then check what the comparison relies on.
-bool validate_trajectory(const std::string& text) {
-  rtlsat::metrics::Trajectory t;
-  std::string error;
-  if (!rtlsat::metrics::trajectory_from_json(text, &t, &error))
-    return fail(error);
-  if (t.schema != rtlsat::metrics::kTrajectorySchema)
-    return fail("schema is '" + t.schema + "', expected '" +
-                rtlsat::metrics::kTrajectorySchema + "'");
-  if (t.utc_date.empty()) return fail("missing utc_date");
-  if (t.git_sha.empty()) return fail("missing git_sha");
-  if (t.fingerprint.host.empty() || t.fingerprint.cpu.empty() ||
-      t.fingerprint.threads <= 0) {
-    return fail("incomplete machine fingerprint");
-  }
-  if (t.benches.empty()) return fail("no benches");
-  for (const rtlsat::metrics::BenchResult& b : t.benches) {
-    if (b.name.empty()) return fail("bench with empty name");
-    if (b.repeats < 1) return fail(b.name + ": repeats < 1");
-    if (b.min_s > b.median_s || b.median_s > b.max_s)
-      return fail(b.name + ": min/median/max not ordered");
-  }
-  std::printf("ok: trajectory %s@%s, %zu benches\n", t.utc_date.c_str(),
-              t.git_sha.c_str(), t.benches.size());
-  return true;
-}
-
 // Serve loadgen output (docs/serve.md "Load generation"):
 // {"bench": "loadgen", "workloads": [{workload, clients, requests, ok,
 //  errors, cache_hits, p50_ms, p99_ms, mean_ms, jobs_per_s}],
@@ -453,8 +423,8 @@ int main(int argc, char** argv) {
   const int want_files = mode == "counters" ? 2 : 1;
   if (argc != 2 + want_files) {
     std::fprintf(stderr,
-                 "usage: %s <bench|race|chrome|jsonl|timeseries|trajectory"
-                 "|loadgen> <file>\n       %s counters <file> <file>\n",
+                 "usage: %s <bench|race|chrome|jsonl|timeseries|loadgen>"
+                 " <file>\n       %s counters <file> <file>\n",
                  argv[0], argv[0]);
     return 2;
   }
@@ -471,8 +441,6 @@ int main(int argc, char** argv) {
     ok = validate_jsonl(text);
   } else if (mode == "timeseries") {
     ok = validate_timeseries(text);
-  } else if (mode == "trajectory") {
-    ok = validate_trajectory(text);
   } else if (mode == "loadgen") {
     ok = validate_loadgen(text);
   } else if (mode == "counters") {

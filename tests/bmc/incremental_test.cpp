@@ -4,10 +4,14 @@
 // solver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "bmc/incremental.h"
 #include "bmc/sweep.h"
 #include "bmc/unroll.h"
 #include "itc99/itc99.h"
+#include "util/timer.h"
 
 namespace rtlsat::bmc {
 namespace {
@@ -92,21 +96,66 @@ TEST(IncrementalBmc, BoundsCanRepeatAndGoBackwards) {
   EXPECT_EQ(s3_again, s3);
 }
 
+// The deep sweep both the verdict and the speedup checks below run: b13
+// property 2 with every bound 1..24 solved.
+constexpr int kDeepBound = 24;
+
+SweepOptions deep_sweep_options(bool incremental) {
+  SweepOptions options;
+  options.solver = solver_options();
+  options.stop_at_sat = false;
+  options.incremental = incremental;
+  return options;
+}
+
 TEST(IncrementalSweep, AgreesWithFreshSweep) {
-  const ir::SeqCircuit seq = itc99::build("b01");
-  SweepOptions fresh;
-  fresh.solver = solver_options();
-  fresh.incremental = false;
-  SweepOptions incremental = fresh;
-  incremental.incremental = true;
-  const SweepResult a = sweep(seq, "1", 12, fresh);
-  const SweepResult b = sweep(seq, "1", 12, incremental);
-  ASSERT_EQ(a.frames.size(), b.frames.size());
-  EXPECT_EQ(a.first_sat_bound, b.first_sat_bound);
-  for (std::size_t i = 0; i < a.frames.size(); ++i) {
-    EXPECT_EQ(a.frames[i].status, b.frames[i].status) << a.frames[i].name;
-    EXPECT_EQ(a.frames[i].name, b.frames[i].name);
+  struct Row {
+    const char* circuit;
+    const char* property;
+    int max_bound;
+    bool stop_at_sat;
+  };
+  for (const Row& row : {Row{"b01", "1", 12, true},
+                         Row{"b13", "2", kDeepBound, false}}) {
+    const ir::SeqCircuit seq = itc99::build(row.circuit);
+    SweepOptions fresh = deep_sweep_options(/*incremental=*/false);
+    fresh.stop_at_sat = row.stop_at_sat;
+    SweepOptions incremental = fresh;
+    incremental.incremental = true;
+    const SweepResult a = sweep(seq, row.property, row.max_bound, fresh);
+    const SweepResult b = sweep(seq, row.property, row.max_bound, incremental);
+    ASSERT_EQ(a.frames.size(), b.frames.size()) << row.circuit;
+    EXPECT_EQ(a.first_sat_bound, b.first_sat_bound) << row.circuit;
+    for (std::size_t i = 0; i < a.frames.size(); ++i) {
+      EXPECT_EQ(a.frames[i].status, b.frames[i].status) << a.frames[i].name;
+      EXPECT_EQ(a.frames[i].name, b.frames[i].name);
+    }
   }
+}
+
+TEST(IncrementalSweep, FasterThanFreshOnDeepSweep) {
+#if defined(RTLSAT_SELFCHECK) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "wall-time floor; instrumented builds distort it";
+#endif
+  // Best of 3 per path, alternating which path runs first, so a burst of
+  // host load hits both paths alike.
+  const ir::SeqCircuit seq = itc99::build("b13");
+  double best[2] = {1e9, 1e9};  // [fresh, incremental] seconds
+  for (int round = 0; round < 3; ++round) {
+    for (const bool incremental : {round % 2 == 0, round % 2 != 0}) {
+      const Timer timer;
+      const SweepResult r =
+          sweep(seq, "2", kDeepBound, deep_sweep_options(incremental));
+      const double seconds = timer.seconds();
+      ASSERT_EQ(r.frames.size(), static_cast<std::size_t>(kDeepBound));
+      best[incremental] = std::min(best[incremental], seconds);
+    }
+  }
+  const double speedup = best[0] / best[1];
+  RecordProperty("speedup", std::to_string(speedup));
+  EXPECT_GE(speedup, 1.5) << "fresh " << best[0] << " s, incremental "
+                          << best[1] << " s";
 }
 
 TEST(IncrementalSweep, CertifyFallsBackToSelfContainedFrames) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bmc/unroll.h"
 #include "fuzz/generator.h"
 #include "ir/circuit.h"
+#include "itc99/itc99.h"
 #include "util/rng.h"
 
 namespace rtlsat::fuzz {
@@ -114,6 +116,21 @@ TEST(PresolveOracle, CleanOnUndecidedInstance) {
       compare_presolve(c, goal, fast_options());
   EXPECT_TRUE(mismatches.empty())
       << (mismatches.empty() ? std::string("-") : mismatches.front());
+
+  // The Table 1 smoke rows, unrolled: b01_1(10), b02_1(10), b13_5(10).
+  // Presolve decides the last two UNSAT; b01_1(10) is SAT and goes through
+  // the simplified solve and the witness transfer.
+  for (const auto& [circuit, property] :
+       {std::pair{"b01", "1"}, {"b02", "1"}, {"b13", "5"}}) {
+    const bmc::BmcInstance row =
+        bmc::unroll(itc99::build(circuit), property, 10);
+    const std::vector<std::string> row_mismatches =
+        compare_presolve(row.circuit, row.goal, fast_options());
+    EXPECT_TRUE(row_mismatches.empty())
+        << row.name << ": "
+        << (row_mismatches.empty() ? std::string("-")
+                                   : row_mismatches.front());
+  }
 }
 
 TEST(PresolveOracle, GeneratedInstancesStayClean) {

@@ -16,7 +16,6 @@
 #include "metrics/memory.h"
 #include "metrics/sampler.h"
 #include "metrics/solver_gauges.h"
-#include "metrics/trajectory.h"
 #include "portfolio/portfolio.h"
 #include "sat/solver.h"
 #include "trace/json.h"
@@ -528,103 +527,6 @@ TEST(Memory, ReadProcMemoryReportsResidentSet) {
 #else
   EXPECT_FALSE(mem.ok);
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// Trajectory format + regression gate
-
-Trajectory small_trajectory() {
-  Trajectory t;
-  t.utc_date = "20260807";
-  t.git_sha = "abc1234";
-  t.fingerprint.host = "host";
-  t.fingerprint.cpu = "cpu-model";
-  t.fingerprint.threads = 16;
-  t.rss_peak_kb = 12345;
-  t.metrics_samples = 7;
-  BenchResult slow;
-  slow.name = "slow.bench";
-  slow.repeats = 3;
-  slow.median_s = 0.2;
-  slow.min_s = 0.18;
-  slow.max_s = 0.25;
-  slow.counters["hdpll.conflicts"] = 999;
-  t.benches.push_back(slow);
-  BenchResult fast;  // under the 5 ms compare floor
-  fast.name = "fast.bench";
-  fast.repeats = 3;
-  fast.median_s = 0.001;
-  fast.min_s = 0.001;
-  fast.max_s = 0.002;
-  t.benches.push_back(fast);
-  return t;
-}
-
-TEST(Trajectory, JsonRoundTripPreservesEveryField) {
-  const Trajectory t = small_trajectory();
-  Trajectory back;
-  std::string error;
-  ASSERT_TRUE(trajectory_from_json(trajectory_to_json(t), &back, &error))
-      << error;
-  EXPECT_EQ(back.schema, kTrajectorySchema);
-  EXPECT_EQ(back.utc_date, t.utc_date);
-  EXPECT_EQ(back.git_sha, t.git_sha);
-  EXPECT_EQ(back.fingerprint.cpu, t.fingerprint.cpu);
-  EXPECT_EQ(back.fingerprint.threads, t.fingerprint.threads);
-  EXPECT_EQ(back.rss_peak_kb, t.rss_peak_kb);
-  EXPECT_EQ(back.metrics_samples, t.metrics_samples);
-  ASSERT_EQ(back.benches.size(), 2u);
-  EXPECT_EQ(back.benches[0].name, "slow.bench");
-  EXPECT_DOUBLE_EQ(back.benches[0].median_s, 0.2);
-  EXPECT_EQ(back.benches[0].counters.at("hdpll.conflicts"), 999);
-  EXPECT_EQ(default_trajectory_filename(t), "BENCH_20260807_abc1234.json");
-}
-
-TEST(Trajectory, FromJsonRejectsWrongSchema) {
-  Trajectory t = small_trajectory();
-  std::string json = trajectory_to_json(t);
-  const std::string schema = kTrajectorySchema;
-  json.replace(json.find(schema), schema.size(), "not_a_trajectory");
-  Trajectory back;
-  std::string error;
-  EXPECT_FALSE(trajectory_from_json(json, &back, &error));
-  EXPECT_FALSE(error.empty());
-}
-
-TEST(Trajectory, CompareFlagsOnlyAboveRatioAndFloor) {
-  const Trajectory base = small_trajectory();
-  Trajectory current = base;
-  const CompareOptions options;
-
-  EXPECT_EQ(compare_trajectories(base, current, options).status,
-            CompareReport::Status::kOk);
-
-  // 4x on the sub-floor bench but still under max_ratio * min_seconds:
-  // exempt (scheduler noise on a microsecond bench, not a regression).
-  current.benches[1].median_s = 0.004;
-  EXPECT_EQ(compare_trajectories(base, current, options).status,
-            CompareReport::Status::kOk);
-
-  // 2x on the real bench: flagged, and the report names it.
-  current.benches[0].median_s = 0.4;
-  const CompareReport report = compare_trajectories(base, current, options);
-  EXPECT_EQ(report.status, CompareReport::Status::kRegression);
-  ASSERT_GE(report.regressions.size(), 1u);
-  EXPECT_NE(report.regressions[0].find("slow.bench"), std::string::npos);
-}
-
-TEST(Trajectory, CompareSkipsAcrossMachinesUnlessForced) {
-  const Trajectory base = small_trajectory();
-  Trajectory current = base;
-  current.fingerprint.cpu = "different-cpu";
-  current.benches[0].median_s = 10.0;  // would be a huge regression
-
-  CompareOptions options;
-  EXPECT_EQ(compare_trajectories(base, current, options).status,
-            CompareReport::Status::kSkipped);
-  options.force = true;
-  EXPECT_EQ(compare_trajectories(base, current, options).status,
-            CompareReport::Status::kRegression);
 }
 
 // ---------------------------------------------------------------------------
