@@ -199,7 +199,9 @@ ArithCheckResult arith_check(const prop::Engine& engine, fme::Solver& solver,
 
   ArithCheckResult result;
   std::vector<std::int64_t> model;
-  const fme::Result fme_result = solver.solve(extractor.system(), &model);
+  const fme::Result fme_result =
+      solver.solve(extractor.system(), &model,
+                   capture != nullptr ? &capture->refutation : nullptr);
   if (fme_result == fme::Result::kUnsat) {
     if (capture != nullptr) {
       capture->row_node = std::move(row_node);

@@ -18,10 +18,11 @@ namespace rtlsat::core {
 // Proof-logging side channel: the extracted system plus the metadata a
 // certificate needs to re-derive it — which solver net each FME variable
 // stands for (auxiliaries carry the node that introduced them instead) and
-// which node's encoding produced each constraint row. Filled only on an
-// UNSAT verdict.
+// which node's encoding produced each constraint row — and the refutation
+// the FME solve recorded. Filled only on an UNSAT verdict.
 struct ArithCertCapture {
   fme::System system;
+  fme::Certificate refutation;
   struct VarInfo {
     bool is_net = false;
     std::uint32_t id = 0;  // net id, or the owning node for an auxiliary
@@ -42,7 +43,8 @@ struct ArithCheckResult {
 };
 
 // Precondition: engine not in conflict and all 1-bit nets assigned.
-// `capture` (optional) receives the extracted system on an UNSAT verdict.
+// `capture` (optional) receives the extracted system and its refutation on
+// an UNSAT verdict.
 ArithCheckResult arith_check(const prop::Engine& engine, fme::Solver& solver,
                              ArithCertCapture* capture = nullptr);
 

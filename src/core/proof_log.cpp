@@ -1,8 +1,8 @@
 #include "core/proof_log.h"
 
 #include <string>
+#include <utility>
 
-#include "fme/certify.h"
 #include "ir/circuit.h"
 #include "util/assert.h"
 
@@ -129,8 +129,7 @@ void WordProofLogger::commit_learn(std::int64_t clause_id) {
   writer_->learn(clause_id, learn_lits_, learn_steps_, learn_conf_);
 }
 
-proof::FmeCert WordProofLogger::build_fme_cert(
-    const ArithCertCapture& capture) {
+proof::FmeCert WordProofLogger::build_fme_cert(ArithCertCapture& capture) {
   proof::FmeCert cert;
   const fme::System& sys = capture.system;
   RTLSAT_ASSERT(capture.vars.size() == sys.num_vars());
@@ -150,12 +149,12 @@ proof::FmeCert WordProofLogger::build_fme_cert(
     con.bound = c.bound;
     cert.cons.push_back(std::move(con));
   }
-  cert.refutation = fme::certify_unsat(sys);
-  if (!cert.refutation.ok) ++fme_certify_failures_;
+  cert.refutation = std::move(capture.refutation);
+  if (cert.refutation.steps.empty()) ++fme_certify_failures_;
   return cert;
 }
 
-void WordProofLogger::capture_cut(const ArithCertCapture& capture) {
+void WordProofLogger::capture_cut(ArithCertCapture& capture) {
   cut_steps_ = steps_at_or_above(1);
   cut_fme_ = build_fme_cert(capture);
 }
@@ -168,7 +167,7 @@ void WordProofLogger::commit_cut(std::int64_t clause_id,
   cut_fme_ = proof::FmeCert{};
 }
 
-void WordProofLogger::log_fme0(const ArithCertCapture& capture) {
+void WordProofLogger::log_fme0(ArithCertCapture& capture) {
   sync_level0();
   writer_->fme0(build_fme_cert(capture));
 }

@@ -50,10 +50,10 @@ class WordProofLogger {
   // Arithmetic end-game refutation at level ≥ 1: capture the decision-level
   // trail replay and the FME sub-certificate before the backtrack, commit
   // with the cut clause once added.
-  void capture_cut(const ArithCertCapture& capture);
+  void capture_cut(ArithCertCapture& capture);
   void commit_cut(std::int64_t clause_id, const std::vector<HybridLit>& lits);
   // Level-0 arithmetic refutation: the whole instance is UNSAT.
-  void log_fme0(const ArithCertCapture& capture);
+  void log_fme0(ArithCertCapture& capture);
 
   // Predicate-learning probes (§3 recursive learning). probe_begin captures
   // the probe-level replay (and its conflict, for dead probes) with the
@@ -78,9 +78,9 @@ class WordProofLogger {
                   const std::vector<HybridLit>& lits);
   void log_deletions(const ClauseDb& db);
 
-  // FME refutations the certifier could not reconstruct (caps exceeded);
-  // the record is still emitted and the checker will reject it, so this is
-  // the producer-side observability for incomplete certificates.
+  // FME refutations that came back empty. Every kUnsat answer of a
+  // recording fme::Solver carries one, so a nonzero count is a solver bug;
+  // the record is still emitted and the checker will reject it.
   std::int64_t fme_certify_failures() const { return fme_certify_failures_; }
 
  private:
@@ -88,7 +88,8 @@ class WordProofLogger {
   // Trail events at `level` or deeper, in trail order, as replay steps.
   std::vector<proof::WordStep> steps_at_or_above(std::uint32_t level) const;
   proof::WordConflict engine_conflict() const;
-  proof::FmeCert build_fme_cert(const ArithCertCapture& capture);
+  // Moves the refutation out of `capture`.
+  proof::FmeCert build_fme_cert(ArithCertCapture& capture);
 
   const prop::Engine& engine_;
   proof::WordCertWriter* writer_;

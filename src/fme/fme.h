@@ -18,10 +18,16 @@
 //      integer-solvable region); model by back-substitution.
 //   4. otherwise splinter: branch on a variable's interval and recurse —
 //      exact and terminating because all domains are finite.
+//
+// The same run can justify an UNSAT answer. Handed a Certificate, the
+// solver records where each row it derives comes from: a tightened bound
+// or a substituted point is a combination of the row with bound rows
+// (then a division step), a real-shadow pair is a combination, and each
+// splinter is a case split. On UNSAT it writes out the steps the final
+// contradictions used, for the independent checker (docs/proofs.md).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "fme/linear.h"
@@ -40,15 +46,6 @@ namespace rtlsat::fme {
 enum class Result { kSat, kUnsat, kUnknown };
 
 struct SolveOptions {
-  // Abort FME and splinter when the working set outgrows this (guards the
-  // quadratic pair blowup).
-  std::size_t max_constraints = 20000;
-  // Enumerate interval values during splintering when the domain is at most
-  // this big; otherwise bisect.
-  std::uint64_t enumerate_limit = 16;
-  // Hard cap on splinter recursion (conservative; depth is bounded by the
-  // domain bit-widths anyway).
-  int max_splinter_depth = 256;
   // Observability: each solve() call is recorded as a kFmeSolve event.
   // Null ⟹ trace::global() (a no-op unless RTLSAT_TRACE is set).
   trace::Tracer* tracer = nullptr;
@@ -63,8 +60,11 @@ class Solver {
   explicit Solver(SolveOptions options = {}) : options_(options) {}
 
   // Decides the system; on kSat and model != nullptr, *model receives one
-  // integer solution (size = system.num_vars(), in-bounds, verified).
-  Result solve(const System& system, std::vector<std::int64_t>* model);
+  // integer solution (size = system.num_vars(), in-bounds, verified). With
+  // refutation != nullptr, a kUnsat answer leaves its refutation there
+  // (any other answer leaves it empty); without, nothing is recorded.
+  Result solve(const System& system, std::vector<std::int64_t>* model,
+               Certificate* refutation = nullptr);
 
   const Stats& stats() const { return stats_; }
 

@@ -1,11 +1,13 @@
 // Linear integer constraints over bounded variables — the input language of
 // the Fourier–Motzkin end-game solver (paper §2.4: "the solution box P is
 // checked for a point solution using an integer-linear solver that performs
-// Fourier-Motzkin elimination").
+// Fourier-Motzkin elimination") — and the refutations it emits, kept here
+// so the proof checker reads them without including the solver's header.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "interval/interval.h"
@@ -26,10 +28,62 @@ struct Term {
   Coeff coeff = 0;
 };
 
+// Reference into a refutation's axiom/step space.
+struct ProofRef {
+  enum class Kind : std::uint8_t {
+    kConstraint,  // system.constraints()[index]
+    kUpper,       // x_index ≤ hi(index)
+    kLower,       // −x_index ≤ −lo(index)
+    kStep,        // result of an earlier proof step / split hypothesis
+  };
+  Kind kind = Kind::kConstraint;
+  std::uint32_t index = 0;
+};
+
+// One step of a refutation. Steps are listed flat, in derivation order.
+// kComb and kDiv derive a new constraint and get the next sequential step
+// id. kSplit opens a case split on an integer variable: the left branch
+// (var ≤ at) starts immediately and its hypothesis constraint takes the
+// next step id; kCase closes the left branch (which must have reached a
+// contradiction), discards its derivations, and opens the right branch
+// (var ≥ at+1) whose hypothesis again takes the next id; kQed closes the
+// right branch and discharges the split — both cases contradicted means
+// the enclosing scope is contradicted (x ≤ m ∨ x ≥ m+1 is exhaustive over
+// the integers).
+struct CertStep {
+  enum class Kind : std::uint8_t { kComb, kDiv, kSplit, kCase, kQed };
+  Kind kind = Kind::kComb;
+  // kComb: Σ coeff·ref with every coeff > 0; result is a new constraint.
+  std::vector<std::pair<ProofRef, __int128>> combo;
+  // kDiv: divide `div_of` by `divisor` (> 0, must divide every
+  // coefficient exactly), rounding the bound down — sound for integers.
+  ProofRef div_of;
+  __int128 divisor = 1;
+  // kSplit: variable and split point (left: var ≤ at, right: var ≥ at+1).
+  Var split_var = 0;
+  __int128 split_at = 0;
+};
+
+// A refutation of a System: its steps reference the system's constraints
+// and variable bounds, and an independent checker replays them in exact
+// 128-bit arithmetic (docs/proofs.md). fme::Solver fills one in from the
+// run that answered UNSAT.
+struct Certificate {
+  std::vector<CertStep> steps;
+};
+
 // Σ terms ≤ bound. Terms are kept sorted by var with nonzero coefficients
 // and at most one term per var (normalize() enforces this).
 struct LinearConstraint {
+  LinearConstraint() = default;
+  LinearConstraint(std::vector<Term> t, Bound b)
+      : terms(std::move(t)), bound(b) {}
+
   std::vector<Term> terms;
+  // Where the row comes from while fme::Solver records a refutation;
+  // unused otherwise. It sits in the alignment padding before `bound`, so
+  // rows are no bigger for carrying it.
+  ProofRef ref;
   Bound bound = 0;
 
   void normalize();

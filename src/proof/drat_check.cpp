@@ -21,6 +21,16 @@ struct ProofStep {
   std::vector<int> lits;
 };
 
+// A clause as the checker keeps it: sorted, each literal once. Producers
+// log clauses exactly as they were passed in, so a formula or proof line
+// may repeat a literal; two watches on the same literal would make a unit
+// clause look binary and stop it from propagating.
+std::vector<int> canonical(std::vector<int> lits) {
+  std::sort(lits.begin(), lits.end());
+  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
+  return lits;
+}
+
 bool parse_dimacs(std::string_view text, std::vector<std::vector<int>>* out,
                   std::string* error) {
   std::vector<int> current;
@@ -56,7 +66,7 @@ bool parse_dimacs(std::string_view text, std::vector<std::vector<int>>* out,
       ++i;
     }
     if (value == 0) {
-      out->push_back(std::move(current));
+      out->push_back(canonical(std::move(current)));
       current.clear();
     } else {
       current.push_back(negative ? -static_cast<int>(value)
@@ -113,6 +123,7 @@ bool parse_text_proof(std::string_view text, std::vector<ProofStep>* out,
     }
     in_clause = true;
     if (value == 0) {
+      current.lits = canonical(std::move(current.lits));
       out->push_back(std::move(current));
       current = ProofStep{};
       in_clause = false;
@@ -166,15 +177,14 @@ bool parse_binary_proof(std::string_view bytes, std::vector<ProofStep>* out,
       const auto var = static_cast<int>(mapped >> 1);
       step.lits.push_back((mapped & 1) != 0 ? -var : var);
     }
+    step.lits = canonical(std::move(step.lits));
     out->push_back(std::move(step));
   }
   return true;
 }
 
-// Hash of a clause as a multiset of literals (order-independent), used to
-// resolve deletion lines by content.
-std::size_t clause_hash(std::vector<int> lits) {
-  std::sort(lits.begin(), lits.end());
+// Hash of a canonical clause, used to resolve deletion lines by content.
+std::size_t clause_hash(const std::vector<int>& lits) {
   std::size_t h = 0x9e3779b97f4a7c15ull;
   for (const int l : lits) {
     h ^= static_cast<std::size_t>(static_cast<long long>(l)) +
@@ -183,10 +193,10 @@ std::size_t clause_hash(std::vector<int> lits) {
   return h;
 }
 
-bool same_clause(std::vector<int> a, std::vector<int> b) {
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
+// `stored` may have had its literals reordered by watch maintenance.
+bool same_clause(std::vector<int> stored, const std::vector<int>& lits) {
+  std::sort(stored.begin(), stored.end());
+  return stored == lits;
 }
 
 class RupChecker {

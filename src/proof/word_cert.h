@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "fme/certify.h"
+#include "fme/linear.h"
 #include "proof/int128.h"
 
 namespace rtlsat::proof {
@@ -49,7 +49,8 @@ struct WordConflict {
 
 // FME sub-certificate: the linear system as extracted (variables are
 // either solver nets or per-node auxiliaries; constraints are tagged with
-// the node that encodes them) plus the fme::certify_unsat refutation.
+// the node that encodes them) plus the refutation fme::Solver recorded
+// while it proved the system UNSAT.
 struct FmeCertVar {
   bool is_net = false;
   std::uint32_t id = 0;  // net id, or the node the auxiliary belongs to

@@ -215,8 +215,11 @@ TEST(Narrow, NeTrimsPointAtBoundary) {
 
 // ------------------------------------------- randomized soundness sweeps
 
+// Both fields are 64-bit so the struct has no padding: gtest prints the
+// parameter as raw bytes into the test name, and uninitialised padding would
+// make that name change from build to build.
 struct WrapCase {
-  int width;
+  std::int64_t width;
   std::uint64_t seed;
 };
 
@@ -225,8 +228,8 @@ class WrapSoundness : public ::testing::TestWithParam<WrapCase> {};
 // Forward wrap rules must cover every concrete outcome; backward rules must
 // never exclude a participating value.
 TEST_P(WrapSoundness, AddSubRandomized) {
-  const auto [width, seed] = GetParam();
-  Rng rng(seed);
+  const int width = static_cast<int>(GetParam().width);
+  Rng rng(GetParam().seed);
   const std::int64_t m = std::int64_t{1} << width;
   for (int iter = 0; iter < 300; ++iter) {
     auto rand_iv = [&]() {

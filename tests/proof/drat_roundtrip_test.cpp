@@ -110,5 +110,16 @@ TEST(DratRoundTrip, DeletionsRoundTrip) {
   EXPECT_TRUE(check.ok) << check.error;
 }
 
+TEST(DratRoundTrip, RepeatedLiteralAccepted) {
+  // "1 1" is the unit clause 1 (the bit-blaster writes such clauses, e.g.
+  // enc_xor(a, a)). Under x1 the other four clauses are every 2-clause
+  // over x2/x3, so "2" is RUP only once x1 propagates at the root.
+  const std::string dimacs =
+      "p cnf 3 5\n1 1 0\n-1 2 3 0\n-1 2 -3 0\n-1 -2 3 0\n-1 -2 -3 0\n";
+  const proof::DratCheckResult check =
+      proof::drat_check(dimacs, "2 0\n0\n", /*binary=*/false);
+  EXPECT_TRUE(check.ok) << check.error;
+}
+
 }  // namespace
 }  // namespace rtlsat::sat
