@@ -13,7 +13,11 @@ using ir::NetId;
 IncrementalBmc::IncrementalBmc(const ir::SeqCircuit& seq, std::string property,
                                core::HdpllOptions solver_options,
                                bool cumulative, bool presolve)
-    : seq_(seq), property_(std::move(property)), cumulative_(cumulative) {
+    : seq_(seq),
+      property_(std::move(property)),
+      cumulative_(cumulative),
+      tracer_(solver_options.tracer != nullptr ? solver_options.tracer
+                                               : &trace::global()) {
   seq_.validate();
   if (presolve) invariants_ = presolve::reach_invariants(seq_);
   prop_net_ = seq_.property(property_);
@@ -61,10 +65,11 @@ ir::NetId IncrementalBmc::ensure_bound(int bound) {
                                   : circuit_.add_or(std::move(violations));
   }
   if (circuit_.num_nets() != before) {
-    circuit_.validate();
-    trace::global().record(trace::EventKind::kUnroll, 0,
-                           static_cast<std::int64_t>(circuit_.num_nets()),
-                           bound);
+    // Only the appended nets can be new defects; self-check builds re-check
+    // the whole circuit.
+    circuit_.validate(kSelfCheckBuild ? 0 : before);
+    tracer_->record(trace::EventKind::kUnroll, 0,
+                    static_cast<std::int64_t>(circuit_.num_nets()), bound);
   }
   goal_.emplace(bound, goal);
   return goal;

@@ -97,6 +97,8 @@ class IncrementalBmc {
   const ir::SeqCircuit& seq_;
   const std::string property_;
   const bool cumulative_;
+  // Where kUnroll events go: the solver's tracer, else trace::global().
+  trace::Tracer* const tracer_;
   ir::NetId prop_net_ = ir::kNoNet;
   ir::Circuit circuit_;
   // (q net → value net) feeding the next frame to be built.

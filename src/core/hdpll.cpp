@@ -4,7 +4,6 @@
 
 #include "core/deduce.h"
 #include "core/selfcheck.h"
-#include "ir/analysis.h"
 #include "metrics/solver_gauges.h"
 #include "trace/progress.h"
 #include "trace/trace.h"
@@ -33,13 +32,12 @@ HdpllSolver::HdpllSolver(const ir::Circuit& circuit, HdpllOptions options)
       options_(options),
       engine_(circuit),
       db_(circuit),
-      heap_(circuit.num_nets()),
+      heap_(0),
       // &stop_ is stable (member address); its value is filled in by
       // solve() when the timeout is merged in.
       fme_(fme::SolveOptions{.tracer = options.tracer, .stop = &stop_}),
       stop_(options.stop),
       rng_(options.random_seed),
-      phase_(circuit.num_nets(), false),
       n_decisions_(stats_.counter("hdpll.decisions")),
       n_conflicts_(stats_.counter("hdpll.conflicts")),
       n_learned_clauses_(stats_.counter("hdpll.learned_clauses")),
@@ -60,15 +58,8 @@ HdpllSolver::HdpllSolver(const ir::Circuit& circuit, HdpllOptions options)
   engine_.set_tracer(tracer_);
   engine_.set_stop(&stop_);
   if (options_.structural_decisions)
-    justifier_ = std::make_unique<Justifier>(circuit);
-  // Seed activities with original fanout counts (§2.4).
-  const auto fanout = ir::fanout_counts(circuit);
-  for (NetId id = 0; id < circuit.num_nets(); ++id) {
-    if (!circuit.is_bool(id)) continue;
-    if (circuit.node(id).op == ir::Op::kConst) continue;
-    heap_.set_activity(id, static_cast<double>(fanout[id]));
-    heap_.insert(id);
-  }
+    justifier_ = std::make_unique<Justifier>(engine_);
+  sync_circuit();  // seeds the per-net tables from zero nets
 }
 
 void HdpllSolver::assume(NetId net, const Interval& interval) {
@@ -408,19 +399,20 @@ void HdpllSolver::sync_circuit() {
   db_.sync_circuit(circuit_);
   heap_.grow(circuit_.num_nets());
   phase_.resize(circuit_.num_nets(), false);
-  // Seed the appended Boolean nets exactly as the constructor seeds the
-  // originals. Recomputing fanouts also reflects new readers of old nets,
-  // but re-seeding old activities would erase learned bumps — skip them.
-  const auto fanout = ir::fanout_counts(circuit_);
+  // Seed the appended Boolean nets' activities with their fanout counts
+  // (§2.4). Old nets may have gained readers, but re-seeding them would
+  // erase learned bumps — skip them.
   for (NetId id = old_nets; id < circuit_.num_nets(); ++id) {
     if (!circuit_.is_bool(id)) continue;
     if (circuit_.node(id).op == ir::Op::kConst) continue;
-    heap_.set_activity(id, static_cast<double>(fanout[id]));
+    heap_.set_activity(id, static_cast<double>(engine_.readers(id).size()));
     heap_.insert(id);
   }
-  // The justifier's candidate order is computed from the whole circuit.
-  if (options_.structural_decisions)
-    justifier_ = std::make_unique<Justifier>(circuit_);
+  if (justifier_ != nullptr) justifier_->extend(engine_);
+  if (options_.self_check) {
+    selfcheck::enforce(selfcheck::check_growth(engine_, justifier_.get()),
+                       "hdpll circuit growth");
+  }
 }
 
 SolveResult HdpllSolver::solve(

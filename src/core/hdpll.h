@@ -193,13 +193,15 @@ class HdpllSolver {
     options_.stop = stop;
   }
 
-  // Adopts nets appended to the circuit since construction (the circuit
+  // Adopts nets appended to the circuit since the last call (the circuit
   // reference handed to the constructor must still be alive and must only
   // have grown). Extends the engine/clause-db/heap tables, seeds the new
-  // Boolean nets' decision activities, and rebuilds the structural
-  // justifier. The level-0 trail and all learned clauses survive — they
-  // remain valid because the circuit is append-only. The incremental BMC
-  // unroller calls this once per new time-frame.
+  // Boolean nets' decision activities, and extends the structural
+  // justifier — each over the appended nets only, so a call costs what
+  // the new frame costs. The constructor is the call from zero nets. The
+  // level-0 trail and all learned clauses survive — they remain valid
+  // because the circuit is append-only. The incremental BMC unroller calls
+  // this once per new time-frame.
   void sync_circuit();
 
   // Portfolio cross-check: replays `input_model` (a winner's SAT model)

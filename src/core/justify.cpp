@@ -3,41 +3,59 @@
 #include <algorithm>
 #include <bit>
 
-#include "ir/analysis.h"
-
 namespace rtlsat::core {
 
 using ir::NetId;
 using ir::Node;
 using ir::Op;
 
-Justifier::Justifier(const ir::Circuit& circuit)
-    : circuit_(circuit),
-      fanout_count_(ir::fanout_counts(circuit)),
-      level_(ir::levelize(circuit)) {
-  for (NetId id = 0; id < circuit.num_nets(); ++id) {
-    const Node& n = circuit.node(id);
-    if (ir::is_boolean_gate(n.op) || (n.op == Op::kMux && n.width > 1))
-      candidates_.push_back(id);
+namespace {
+bool is_candidate(const Node& n) {
+  return ir::is_boolean_gate(n.op) || (n.op == Op::kMux && n.width > 1);
+}
+}  // namespace
+
+Justifier::Justifier(prop::Engine& engine) : circuit_(engine.circuit()) {
+  extend(engine);
+}
+
+void Justifier::extend(prop::Engine& engine) {
+  const auto first = static_cast<NetId>(level_.size());
+  const NetId num_nets = circuit_.num_nets();
+  if (first == num_nets) return;
+  // New nets have no rank yet, so the fold re-checks old candidates only;
+  // the new ones are checked against the current domains below.
+  rank_.resize(num_nets, kNoRank);
+  sync(engine);
+  level_.resize(num_nets);
+  std::vector<NetId> fresh;
+  for (NetId id = first; id < num_nets; ++id) {
+    const Node& n = circuit_.node(id);
+    int max_in = -1;
+    for (NetId o : n.operands) max_in = std::max(max_in, level_[o]);
+    level_[id] = ir::is_source(n.op) ? 0 : max_in + 1;
+    if (is_candidate(n)) fresh.push_back(id);
   }
-  std::sort(candidates_.begin(), candidates_.end(), [this](NetId a, NetId b) {
+  const auto deeper = [this](NetId a, NetId b) {
     return level_[a] != level_[b] ? level_[a] > level_[b] : a > b;
-  });
-  // Counting sort of (net, rank) pairs into the per-net watch lists.
-  watch_begin_.assign(circuit.num_nets() + 1, 0);
-  const auto for_each_watch = [&](auto&& fn) {
-    for (std::uint32_t r = 0; r < candidates_.size(); ++r) {
-      fn(candidates_[r], r);
-      for (NetId o : circuit.node(candidates_[r]).operands) fn(o, r);
-    }
   };
-  for_each_watch([&](NetId n, std::uint32_t) { ++watch_begin_[n + 1]; });
-  for (std::size_t n = 0; n < circuit.num_nets(); ++n)
-    watch_begin_[n + 1] += watch_begin_[n];
-  watch_.resize(watch_begin_.back());
-  std::vector<std::uint32_t> fill(watch_begin_.begin(), watch_begin_.end() - 1);
-  for_each_watch([&](NetId n, std::uint32_t r) { watch_[fill[n]++] = r; });
-  unjustified_.assign((candidates_.size() + 63) / 64, 0);
+  std::sort(fresh.begin(), fresh.end(), deeper);
+  std::vector<NetId> merged(candidates_.size() + fresh.size());
+  std::merge(candidates_.begin(), candidates_.end(), fresh.begin(),
+             fresh.end(), merged.begin(), deeper);
+  // One pass re-ranks the merged order and carries each old candidate's bit
+  // to its new rank.
+  std::vector<std::uint64_t> bits((merged.size() + 63) / 64, 0);
+  for (std::uint32_t r = 0; r < merged.size(); ++r) {
+    const NetId id = merged[r];
+    const std::uint32_t old = rank_[id];
+    const bool bit = old != kNoRank ? (unjustified_[old / 64] >> (old % 64)) & 1
+                                    : unjustified(engine, id);
+    if (bit) bits[r / 64] |= std::uint64_t{1} << (r % 64);
+    rank_[id] = r;
+  }
+  candidates_ = std::move(merged);
+  unjustified_ = std::move(bits);
 }
 
 bool Justifier::unjustified(const prop::Engine& engine, NetId id) const {
@@ -93,12 +111,14 @@ std::optional<JustifyDecision> Justifier::justify_gate(
       // Choose the free input with the highest fanout, breaking ties
       // towards the inputs (lowest level), per §4.2's heuristics.
       NetId best = ir::kNoNet;
+      std::size_t best_fanout = 0;
       for (NetId o : n.operands) {
         if (engine.bool_value(o) >= 0) continue;
-        if (best == ir::kNoNet || fanout_count_[o] > fanout_count_[best] ||
-            (fanout_count_[o] == fanout_count_[best] &&
-             level_[o] < level_[best])) {
+        const std::size_t fo = engine.readers(o).size();
+        if (best == ir::kNoNet || fo > best_fanout ||
+            (fo == best_fanout && level_[o] < level_[best])) {
           best = o;
+          best_fanout = fo;
         }
       }
       if (best == ir::kNoNet) return std::nullopt;
@@ -107,7 +127,8 @@ std::optional<JustifyDecision> Justifier::justify_gate(
     case Op::kXor: {
       const NetId a = n.operands[0];
       const NetId b = n.operands[1];
-      const NetId pick = fanout_count_[a] >= fanout_count_[b] ? a : b;
+      const NetId pick =
+          engine.readers(a).size() >= engine.readers(b).size() ? a : b;
       return JustifyDecision{pick, weighted_value(pick, false)};
     }
     case Op::kMux: {
@@ -129,16 +150,21 @@ std::optional<JustifyDecision> Justifier::justify_gate(
 }
 
 std::int64_t Justifier::recheck(const prop::Engine& engine, NetId net) {
-  for (std::uint32_t i = watch_begin_[net]; i < watch_begin_[net + 1]; ++i) {
-    const std::uint32_t r = watch_[i];
+  std::int64_t checks = 0;
+  const auto check = [&](NetId id) {
+    const std::uint32_t r = rank_[id];
+    if (r == kNoRank) return;
+    ++checks;
     const std::uint64_t bit = std::uint64_t{1} << (r % 64);
-    if (unjustified(engine, candidates_[r])) {
+    if (unjustified(engine, id)) {
       unjustified_[r / 64] |= bit;
     } else {
       unjustified_[r / 64] &= ~bit;
     }
-  }
-  return watch_begin_[net + 1] - watch_begin_[net];
+  };
+  check(net);
+  for (NetId reader : engine.readers(net)) check(reader);
+  return checks;
 }
 
 std::int64_t Justifier::sync(prop::Engine& engine) {
@@ -147,16 +173,6 @@ std::int64_t Justifier::sync(prop::Engine& engine) {
       engine.consume_trail_low_water(prop::Engine::TrailReader::kFrontier),
       seen_.size());
   std::int64_t checks = 0;
-  if (!primed_) {
-    for (std::uint32_t r = 0; r < candidates_.size(); ++r) {
-      if (unjustified(engine, candidates_[r]))
-        unjustified_[r / 64] |= std::uint64_t{1} << (r % 64);
-    }
-    checks += static_cast<std::int64_t>(candidates_.size());
-    primed_ = true;
-    for (const prop::Event& ev : trail) seen_.push_back(ev.net);
-    return checks;
-  }
   // Undone events: their nets are back to older intervals.
   for (std::size_t i = low; i < seen_.size(); ++i)
     checks += recheck(engine, seen_[i]);
@@ -191,6 +207,15 @@ std::size_t Justifier::frontier_size(const prop::Engine& engine) const {
     if (unjustified(engine, id)) ++n;
   }
   return n;
+}
+
+std::vector<NetId> Justifier::marked_unjustified() const {
+  std::vector<NetId> marked;
+  for (std::uint32_t r = 0; r < candidates_.size(); ++r) {
+    if ((unjustified_[r / 64] >> (r % 64)) & 1)
+      marked.push_back(candidates_[r]);
+  }
+  return marked;
 }
 
 int relation_satisfaction(const ClauseDb& db, ir::NetId net, bool value) {

@@ -29,7 +29,17 @@ struct JustifyDecision {
 
 class Justifier {
  public:
-  explicit Justifier(const ir::Circuit& circuit);
+  // Builds the frontier over the engine's circuit: extend() from no nets.
+  explicit Justifier(prop::Engine& engine);
+
+  // Adopts nets appended to the engine's circuit since the last call (after
+  // Engine::sync_circuit). The circuit is append-only, so old nets keep
+  // their levels: the trail changes since the previous pick are folded in
+  // first, then only the new nets are levelled and the new candidates
+  // sorted, checked against the current domains and merged into the
+  // existing order. The frontier stays current — the next pick() re-checks
+  // only what changed since this call.
+  void extend(prop::Engine& engine);
 
   // Returns a decision for the first unjustified gate of the J-frontier in
   // rank order (highest level first — justification flows from the
@@ -46,7 +56,16 @@ class Justifier {
   // Diagnostic: the frontier size under the current assignment.
   std::size_t frontier_size(const prop::Engine& engine) const;
 
+  // Candidate gates in rank order: level descending, then net id
+  // descending.
+  const std::vector<ir::NetId>& candidates() const { return candidates_; }
+  // The candidates whose unjustified bit is set, in rank order — as of the
+  // last extend() or pick(), not re-checked against the engine.
+  std::vector<ir::NetId> marked_unjustified() const;
+
  private:
+  static constexpr std::uint32_t kNoRank = ~std::uint32_t{0};
+
   bool unjustified(const prop::Engine& engine, ir::NetId id) const;
   // Folds the trail changes since the previous call into unjustified_;
   // returns the number of gates re-checked.
@@ -57,19 +76,15 @@ class Justifier {
                                               const ClauseDb* db) const;
 
   const ir::Circuit& circuit_;
+  std::vector<int> level_;  // per net: distance from the sources
   // Candidate gates sorted by level, deepest first; a gate's rank is its
-  // index here.
+  // index here, rank_ maps it back (kNoRank for other nets). A net's
+  // watchers — the candidates whose status reads it — are its own gate and
+  // its readers (prop::Engine::readers) that have a rank.
   std::vector<ir::NetId> candidates_;
-  // Per net, the ranks of the candidates whose status reads it (the net's
-  // own gate and the gates it feeds): watch_[watch_begin_[n] ..
-  // watch_begin_[n + 1]).
-  std::vector<std::uint32_t> watch_begin_;
-  std::vector<std::uint32_t> watch_;
+  std::vector<std::uint32_t> rank_;
   std::vector<std::uint64_t> unjustified_;  // one bit per rank
   std::vector<ir::NetId> seen_;  // nets of the trail prefix folded in
-  bool primed_ = false;          // unjustified_ reflects seen_
-  std::vector<int> fanout_count_;
-  std::vector<int> level_;
 };
 
 // §4.4 helper, shared with the base heuristic under +P: how many learned

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "ir/analysis.h"
 #include "util/strings.h"
 
 namespace rtlsat::core::selfcheck {
@@ -258,6 +259,31 @@ std::vector<std::string> check_interval_soundness(
           circuit.net_name(net).c_str(),
           static_cast<long long>(values[net])));
     }
+  }
+  return violations;
+}
+
+std::vector<std::string> check_growth(const prop::Engine& engine,
+                                      const Justifier* justifier) {
+  std::vector<std::string> violations;
+  const ir::Circuit& circuit = engine.circuit();
+  const auto fanouts = ir::fanouts(circuit);
+  for (NetId id = 0; id < circuit.num_nets(); ++id) {
+    if (engine.readers(id) != fanouts[id]) {
+      violations.push_back(str_format(
+          "reader list of n%u has %zu entries, a rebuild has %zu", id,
+          engine.readers(id).size(), fanouts[id].size()));
+    }
+  }
+  if (justifier == nullptr) return violations;
+  prop::Engine snapshot = engine;
+  const Justifier fresh(snapshot);
+  if (justifier->candidates() != fresh.candidates())
+    violations.push_back("justifier candidate order differs from a rebuild");
+  if (justifier->marked_unjustified() != fresh.marked_unjustified()) {
+    violations.push_back(
+        "justifier unjustified marks differ from a rebuild over the current "
+        "domains");
   }
   return violations;
 }

@@ -18,6 +18,7 @@
 
 #include "core/analyze.h"
 #include "core/clause_db.h"
+#include "core/justify.h"
 #include "prop/engine.h"
 
 namespace rtlsat::core::selfcheck {
@@ -60,6 +61,14 @@ std::vector<std::string> check_asserting_clause(const HybridClause& clause,
 std::vector<std::string> check_interval_soundness(
     const prop::Engine& engine,
     const std::unordered_map<ir::NetId, std::int64_t>& input_values);
+
+// Incremental circuit growth against a rebuild from scratch: the engine's
+// reader lists must equal ir::fanouts element for element and, when
+// `justifier` is non-null, its candidate order and unjustified marks must
+// equal those of a Justifier freshly built over a copy of the engine. Call
+// right after a growth step (HdpllSolver::sync_circuit).
+std::vector<std::string> check_growth(const prop::Engine& engine,
+                                      const Justifier* justifier);
 
 // Aborts with every violation listed when `violations` is non-empty.
 // `where` names the call site in the abort message.

@@ -23,14 +23,6 @@ std::vector<std::vector<NetId>> fanouts(const Circuit& circuit) {
   return fo;
 }
 
-std::vector<int> fanout_counts(const Circuit& circuit) {
-  std::vector<int> count(circuit.num_nets(), 0);
-  for (NetId id = 0; id < circuit.num_nets(); ++id) {
-    for (NetId o : circuit.node(id).operands) ++count[o];
-  }
-  return count;
-}
-
 FaninCone fanin_cone(const Circuit& circuit, NetId root) {
   return fanin_cone(circuit, std::vector<NetId>{root});
 }

@@ -13,12 +13,10 @@ namespace rtlsat::ir {
 // level 0, every other node is 1 + max over operand levels.
 std::vector<int> levelize(const Circuit& circuit);
 
-// fanout[i] lists the nodes that read net i.
+// fanout[i] lists the nodes that read net i, ascending, once per operand
+// slot; its size is the net's fanout count (the decision heuristic's seed
+// weight per §2.4). prop::Engine keeps the same lists incrementally.
 std::vector<std::vector<NetId>> fanouts(const Circuit& circuit);
-
-// fanout_count[i] = number of readers of net i (the decision heuristic's
-// seed weight per §2.4).
-std::vector<int> fanout_counts(const Circuit& circuit);
 
 // Transitive fan-in cone of one or more roots (including the roots) — the
 // single dependency-tracking primitive shared by the rebuilder

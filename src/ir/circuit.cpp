@@ -470,14 +470,17 @@ std::vector<std::int64_t> Circuit::evaluate(
   return value;
 }
 
-void Circuit::validate() const {
-  check_structure(*this, [this](const StructuralDefect& defect) {
-    assert_fail(std::string(structure_defect_id(defect.kind)).c_str(),
-                __FILE__, __LINE__,
-                (name_ + ", net " + net_name(defect.net) + ": " +
-                 defect.message)
-                    .c_str());
-  });
+void Circuit::validate(NetId first) const {
+  check_structure(
+      *this,
+      [this](const StructuralDefect& defect) {
+        assert_fail(std::string(structure_defect_id(defect.kind)).c_str(),
+                    __FILE__, __LINE__,
+                    (name_ + ", net " + net_name(defect.net) + ": " +
+                     defect.message)
+                        .c_str());
+      },
+      first);
 }
 
 std::uint64_t Circuit::cone_hash(NetId goal) const {

@@ -137,10 +137,12 @@ class Circuit {
   std::vector<std::int64_t> evaluate(
       const std::unordered_map<NetId, std::int64_t>& input_values) const;
 
-  // Structural sanity checks; aborts on the first defect found. Delegates
-  // to ir::check_structure (structure_check.h), the shared rule set behind
-  // the lint subsystem — lint for a diagnosis, validate() for a guard.
-  void validate() const;
+  // Structural sanity checks of the nets from `first` on (all by default);
+  // aborts on the first defect found. A circuit grown by appending needs
+  // only its new nets checked. Delegates to ir::check_structure
+  // (structure_check.h), the shared rule set behind the lint subsystem —
+  // lint for a diagnosis, validate() for a guard.
+  void validate(NetId first = 0) const;
 
   // Counts for the paper tables: word-level operator nodes vs Boolean ones.
   struct OpCounts {

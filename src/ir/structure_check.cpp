@@ -61,10 +61,11 @@ int expected_operands(Op op) {
 }  // namespace
 
 void check_structure(const Circuit& circuit,
-                     const std::function<void(StructuralDefect)>& emit) {
+                     const std::function<void(StructuralDefect)>& emit,
+                     NetId first) {
   using Kind = StructuralDefect::Kind;
   const std::size_t n = circuit.num_nets();
-  for (NetId id = 0; id < n; ++id) {
+  for (NetId id = first; id < n; ++id) {
     const Node& node = circuit.node(id);
     auto defect = [&](Kind kind, std::string message) {
       emit({kind, id, std::move(message)});

@@ -41,11 +41,14 @@ struct StructuralDefect {
 // The stable kebab-case identifier of a defect kind ("operand-count", …).
 std::string_view structure_defect_id(StructuralDefect::Kind kind);
 
-// Runs every structural check over every node, invoking `emit` once per
-// defect found. Checks are ordered so that a defect that would make later
-// checks read out of bounds (undriven/cyclic operands, zero widths)
-// suppresses those later checks for that node.
+// Runs every structural check over every node from `first` on, invoking
+// `emit` once per defect found. Each node's checks read only the node and
+// its operands, so a circuit that grew by appending is re-checked by
+// passing its old size as `first`. Checks are ordered so that a defect
+// that would make later checks read out of bounds (undriven/cyclic
+// operands, zero widths) suppresses those later checks for that node.
 void check_structure(const Circuit& circuit,
-                     const std::function<void(StructuralDefect)>& emit);
+                     const std::function<void(StructuralDefect)>& emit,
+                     NetId first = 0);
 
 }  // namespace rtlsat::ir

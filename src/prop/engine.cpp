@@ -1,6 +1,5 @@
 #include "prop/engine.h"
 
-#include "ir/analysis.h"
 #include "trace/trace.h"
 #include "util/log.h"
 
@@ -9,42 +8,33 @@ namespace rtlsat::prop {
 using ir::NetId;
 
 Engine::Engine(const ir::Circuit& circuit)
-    : circuit_(circuit),
-      fanout_(ir::fanouts(circuit)),
-      latest_(circuit.num_nets(), -1),
-      in_queue_(circuit.num_nets(), false),
-      tracer_(&trace::global()) {
-  domain_.reserve(circuit.num_nets());
-  for (NetId id = 0; id < circuit.num_nets(); ++id) {
-    const ir::Node& n = circuit.node(id);
-    // Constants are pinned from the start; everything else gets its full
-    // width domain. Initial domains are universal facts and need no events.
-    domain_.push_back(n.op == ir::Op::kConst ? Interval::point(n.imm)
-                                             : circuit.domain(id));
-  }
-  // Seed the queue with every node so the first propagate() establishes
-  // bounds consistency over the untouched circuit — constant-fed nodes
-  // (a concat of a pinned high part, a comparator against a constant)
-  // must tighten before the first decision, or the structural strategy
-  // justifies operators that were never really free.
-  for (NetId id = 0; id < circuit.num_nets(); ++id) enqueue_node(id);
+    : circuit_(circuit), tracer_(&trace::global()) {
+  sync_circuit();
 }
 
 void Engine::sync_circuit() {
   RTLSAT_ASSERT_MSG(level_ == 0, "sync_circuit: engine must be at root level");
   const NetId old_nets = static_cast<NetId>(domain_.size());
-  if (old_nets == circuit_.num_nets()) return;
-  fanout_ = ir::fanouts(circuit_);
-  domain_.reserve(circuit_.num_nets());
-  latest_.resize(circuit_.num_nets(), -1);
-  in_queue_.resize(circuit_.num_nets(), false);
-  for (NetId id = old_nets; id < circuit_.num_nets(); ++id) {
+  const NetId num_nets = circuit_.num_nets();
+  if (old_nets == num_nets) return;
+  domain_.reserve(num_nets);
+  fanout_.resize(num_nets);
+  latest_.resize(num_nets, -1);
+  in_queue_.resize(num_nets, false);
+  for (NetId id = old_nets; id < num_nets; ++id) {
     const ir::Node& n = circuit_.node(id);
+    // Constants are pinned from the start; everything else gets its full
+    // width domain. Initial domains are universal facts and need no events.
     domain_.push_back(n.op == ir::Op::kConst ? Interval::point(n.imm)
                                              : circuit_.domain(id));
-    // New nodes read old (possibly already-narrowed) nets; queue them so
-    // the next propagate() tightens the appended logic. Old nodes need no
-    // re-examination: their operand domains did not change.
+    for (NetId o : n.operands) fanout_[o].push_back(id);
+    // Queue every new node so the next propagate() establishes bounds
+    // consistency over it: new nodes read old (possibly already-narrowed)
+    // nets, and constant-fed nodes (a concat of a pinned high part, a
+    // comparator against a constant) must tighten before the first
+    // decision, or the structural strategy justifies operators that were
+    // never really free. Old nodes need no re-examination: their operand
+    // domains did not change.
     enqueue_node(id);
   }
 }

@@ -80,13 +80,22 @@ class Engine {
   std::uint32_t level() const { return level_; }
   void push_level() { ++level_; }
 
-  // Adopts nets appended to the circuit since construction (the circuit is
-  // append-only, so existing ids keep their meaning): extends the domain /
-  // event bookkeeping, recomputes fanouts (old nets may have gained
-  // readers), and queues the new nodes so the next propagate() makes the
-  // grown circuit bounds consistent. Level 0 only — the level-0 trail
-  // survives untouched, which is exactly what incremental BMC reuses.
+  // Adopts nets appended to the circuit since the last call (the circuit
+  // is append-only, so existing ids keep their meaning): extends the domain
+  // / event bookkeeping and the reader lists over the new nets only (an old
+  // net can only gain readers, and those are new nodes), and queues the
+  // new nodes so the next propagate() makes the grown circuit bounds
+  // consistent. The constructor is the call from zero nets. Level 0 only —
+  // the level-0 trail survives untouched, which is exactly what
+  // incremental BMC reuses.
   void sync_circuit();
+
+  // The nodes that read `net`, ascending, one entry per operand slot (a
+  // node reading `net` twice is listed twice): ir::fanouts, kept current
+  // by sync_circuit(). Its size is the net's fanout count.
+  const std::vector<ir::NetId>& readers(ir::NetId net) const {
+    return fanout_[net];
+  }
 
   // Re-queues every node for examination. Needed when a previous
   // propagation round was abandoned mid-flight (a stop token fired and the

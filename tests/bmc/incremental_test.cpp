@@ -11,6 +11,7 @@
 #include "bmc/sweep.h"
 #include "bmc/unroll.h"
 #include "itc99/itc99.h"
+#include "trace/trace.h"
 #include "util/timer.h"
 
 namespace rtlsat::bmc {
@@ -94,6 +95,55 @@ TEST(IncrementalBmc, BoundsCanRepeatAndGoBackwards) {
   EXPECT_EQ(s1, fresh_verdict(seq, "1", 1, false));
   EXPECT_EQ(s3, fresh_verdict(seq, "1", 3, false));
   EXPECT_EQ(s3_again, s3);
+}
+
+// The bmc_sweep configuration of `rtlbench --selftest`: b13 property 1,
+// HDPLL+S+P with the paper's relation threshold, bounds 1..60 on one
+// solver. Growing the circuit must not change anything the search sees,
+// so the counts stay those of the rebuild-every-bound solver.
+TEST(IncrementalBmc, PinnedCountsUnchanged) {
+  const ir::SeqCircuit seq = itc99::build("b13");
+  core::HdpllOptions options = solver_options();
+  options.learning.max_relations = 2000;
+  IncrementalBmc inc(seq, "1", options);
+  for (int bound = 1; bound <= 60; ++bound) {
+    ASSERT_EQ(inc.solve_bound(bound).status, core::SolveStatus::kUnsat)
+        << inc.name(bound);
+  }
+  EXPECT_EQ(inc.solver().stats().get("hdpll.decisions"), 43);
+  EXPECT_EQ(inc.solver().stats().get("hdpll.conflicts"), 103);
+  EXPECT_EQ(inc.solver().engine().num_propagations(), 682827);
+}
+
+// A traced sweep sees its unrolling: each growth step records one kUnroll
+// event (nets after the step, bound) on the solver's tracer, and a bound
+// that appends nothing records none.
+TEST(IncrementalBmc, UnrollEventsGoToTheSolverTracer) {
+  trace::TracerOptions tracer_options;
+  tracer_options.collect_in_memory = true;
+  trace::Tracer tracer(tracer_options);
+  core::HdpllOptions options = solver_options();
+  options.tracer = &tracer;
+  const ir::SeqCircuit seq = itc99::build("b02");
+  IncrementalBmc inc(seq, "1", options);
+  std::vector<std::int64_t> grown_nets;
+  for (int bound : {1, 2, 2, 4, 3}) {
+    const auto before = inc.circuit().num_nets();
+    inc.solve_bound(bound);
+    if (inc.circuit().num_nets() != before)
+      grown_nets.push_back(static_cast<std::int64_t>(inc.circuit().num_nets()));
+  }
+  std::vector<trace::Event> unrolls;
+  for (const trace::Event& event : tracer.drain()) {
+    if (event.kind == trace::EventKind::kUnroll) unrolls.push_back(event);
+  }
+  ASSERT_EQ(grown_nets.size(), 3u);  // bounds 1, 2 and 4
+  ASSERT_EQ(unrolls.size(), grown_nets.size());
+  const int grown_bounds[] = {1, 2, 4};
+  for (std::size_t i = 0; i < unrolls.size(); ++i) {
+    EXPECT_EQ(unrolls[i].a, grown_nets[i]);
+    EXPECT_EQ(unrolls[i].b, grown_bounds[i]);
+  }
 }
 
 // The deep sweep both the verdict and the speedup checks below run: b13

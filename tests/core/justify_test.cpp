@@ -22,7 +22,7 @@ TEST(Justify, AndGateAtZeroNeedsJustification) {
   prop::Engine engine(c);
   ASSERT_TRUE(engine.narrow(o, Interval::point(0), prop::ReasonKind::kAssumption));
   ASSERT_TRUE(engine.propagate());
-  Justifier justifier(c);
+  Justifier justifier(engine);
   EXPECT_EQ(justifier.frontier_size(engine), 1u);
   const auto decision = justifier.pick(engine, nullptr);
   ASSERT_TRUE(decision.has_value());
@@ -38,7 +38,7 @@ TEST(Justify, AndGateAtOneIsImplied) {
   prop::Engine engine(c);
   ASSERT_TRUE(engine.narrow(o, Interval::point(1), prop::ReasonKind::kAssumption));
   ASSERT_TRUE(engine.propagate());
-  Justifier justifier(c);
+  Justifier justifier(engine);
   EXPECT_EQ(justifier.frontier_size(engine), 0u);  // inputs already forced
   EXPECT_FALSE(justifier.pick(engine, nullptr).has_value());
 }
@@ -53,7 +53,7 @@ TEST(Justify, OrGateAtOnePicksHighFanoutInput) {
   prop::Engine engine(c);
   ASSERT_TRUE(engine.narrow(o, Interval::point(1), prop::ReasonKind::kAssumption));
   ASSERT_TRUE(engine.propagate());
-  Justifier justifier(c);
+  Justifier justifier(engine);
   const auto decision = justifier.pick(engine, nullptr);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->net, i2);
@@ -88,7 +88,7 @@ TEST(Justify, MuxFreeChoiceDecidesSelect) {
   ASSERT_TRUE(engine.narrow(i2, Interval(5, 14), prop::ReasonKind::kAssumption));
   ASSERT_TRUE(engine.narrow(o, Interval(6, 8), prop::ReasonKind::kAssumption));
   ASSERT_TRUE(engine.propagate());
-  Justifier justifier(c);
+  Justifier justifier(engine);
   EXPECT_GE(justifier.frontier_size(engine), 1u);
   const auto decision = justifier.pick(engine, nullptr);
   ASSERT_TRUE(decision.has_value());
@@ -104,7 +104,7 @@ TEST(Justify, UnconstrainedMuxNotInFrontier) {
   c.add_mux(sel, i2, i1);
   prop::Engine engine(c);
   ASSERT_TRUE(engine.propagate());
-  Justifier justifier(c);
+  Justifier justifier(engine);
   EXPECT_EQ(justifier.frontier_size(engine), 0u);
 }
 
@@ -116,7 +116,7 @@ TEST(Justify, XorWithAssignedOutput) {
   prop::Engine engine(c);
   ASSERT_TRUE(engine.narrow(x, Interval::point(1), prop::ReasonKind::kAssumption));
   ASSERT_TRUE(engine.propagate());
-  Justifier justifier(c);
+  Justifier justifier(engine);
   const auto decision = justifier.pick(engine, nullptr);
   ASSERT_TRUE(decision.has_value());
   EXPECT_TRUE(decision->net == a || decision->net == b);
@@ -136,7 +136,7 @@ TEST(Justify, DeepestGateFirst) {
   // unjustified gate.
   ASSERT_TRUE(engine.narrow(outer, Interval::point(0), prop::ReasonKind::kAssumption));
   ASSERT_TRUE(engine.propagate());
-  Justifier justifier(c);
+  Justifier justifier(engine);
   const auto decision = justifier.pick(engine, nullptr);
   ASSERT_TRUE(decision.has_value());
   // Justifying the outer AND decides one of its free inputs.
@@ -155,13 +155,13 @@ TEST(Justify, IncrementalFrontierMatchesFreshScan) {
   ASSERT_TRUE(engine.narrow(instance.goal, Interval::point(1),
                             prop::ReasonKind::kAssumption));
   ASSERT_TRUE(engine.propagate());
-  Justifier incremental(c);
+  Justifier incremental(engine);
   Rng rng(7);
   int decisions = 0;
   for (int step = 0; step < 400; ++step) {
     const auto got = incremental.pick(engine, nullptr);
     prop::Engine snapshot = engine;
-    const auto want = Justifier(c).pick(snapshot, nullptr);
+    const auto want = Justifier(snapshot).pick(snapshot, nullptr);
     ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
     if (got) {
       ASSERT_EQ(got->net, want->net) << "step " << step;
@@ -184,6 +184,72 @@ TEST(Justify, IncrementalFrontierMatchesFreshScan) {
     }
   }
   EXPECT_GT(decisions, 100);
+}
+
+// Growing a circuit in several appends and extending one Justifier must
+// leave it where a Justifier built fresh over the grown circuit starts:
+// same candidate order, same unjustified marks, same frontier and pick —
+// with level-0 narrowings on the trail before and after each append.
+TEST(Justify, ExtendMatchesFresh) {
+  const ir::SeqCircuit seq = itc99::build("b13");
+  const Circuit& comb = seq.comb();
+  // Append b13's combinational logic in slices: a growing circuit whose
+  // old nets gain readers in later slices.
+  Circuit c("grow");
+  std::vector<NetId> map(comb.num_nets(), ir::kNoNet);
+  std::size_t copied = 0;
+  const auto append = [&](std::size_t count) {
+    for (; copied < comb.num_nets() && count > 0; ++copied, --count) {
+      ir::Node n = comb.node(static_cast<NetId>(copied));
+      for (NetId& o : n.operands) o = map[o];
+      if (n.op == ir::Op::kInput && n.name.empty())
+        n.name = "q" + std::to_string(copied);
+      map[copied] = c.add_unchecked(std::move(n));
+    }
+  };
+  const std::size_t slice = comb.num_nets() / 6;
+  append(slice);
+  prop::Engine engine(c);
+  Justifier extended(engine);
+  Rng rng(3);
+  int nonempty_frontiers = 0;
+  while (copied < comb.num_nets()) {
+    append(slice);
+    engine.sync_circuit();
+    extended.extend(engine);
+    ASSERT_TRUE(engine.propagate());
+    // Level-0 facts: drive a few free gate outputs to the value that needs
+    // justification (AND at 0, OR at 1), so the frontier carried across
+    // the next append is not empty.
+    for (int i = 0; i < 12; ++i) {
+      const auto net = static_cast<NetId>(rng.below(c.num_nets()));
+      const ir::Op op = c.node(net).op;
+      if ((op != ir::Op::kAnd && op != ir::Op::kOr) ||
+          engine.bool_value(net) >= 0)
+        continue;
+      const Interval value = Interval::point(op == ir::Op::kOr ? 1 : 0);
+      if (!engine.narrow(net, value, prop::ReasonKind::kAssumption) ||
+          !engine.propagate()) {
+        engine.rollback_to(0);
+        engine.enqueue_all_nodes();
+        ASSERT_TRUE(engine.propagate());
+      }
+    }
+    prop::Engine snapshot = engine;
+    Justifier fresh(snapshot);
+    EXPECT_EQ(extended.candidates(), fresh.candidates());
+    EXPECT_EQ(extended.frontier_size(engine), fresh.frontier_size(snapshot));
+    if (fresh.frontier_size(snapshot) > 0) ++nonempty_frontiers;
+    const auto got = extended.pick(engine, nullptr);
+    const auto want = fresh.pick(snapshot, nullptr);
+    EXPECT_EQ(extended.marked_unjustified(), fresh.marked_unjustified());
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (got) {
+      EXPECT_EQ(got->net, want->net);
+      EXPECT_EQ(got->value, want->value);
+    }
+  }
+  EXPECT_GE(nonempty_frontiers, 3);
 }
 
 TEST(RelationSatisfaction, CountsMatchingLearntClauses) {

@@ -35,7 +35,7 @@ TEST(JustifyWeighted, FreeMuxChoiceFollowsRelationWeights) {
   ASSERT_TRUE(engine.propagate());
 
   // Without weights: default leans to the then-branch.
-  Justifier justifier(f.c);
+  Justifier justifier(engine);
   const auto unweighted = justifier.pick(engine, nullptr);
   ASSERT_TRUE(unweighted.has_value());
   EXPECT_EQ(unweighted->net, f.sel);
@@ -68,7 +68,7 @@ TEST(JustifyWeighted, DeadBranchOverridesWeights) {
   db.add({{HybridLit::boolean(f.sel, true), HybridLit::boolean(f.x0, true)},
           true,
           HybridClause::Origin::kPredicateLearning});
-  Justifier justifier(f.c);
+  Justifier justifier(engine);
   const auto decision = justifier.pick(engine, &db);
   // Both branches intersect ⟨3,10⟩ here, so weights choose sel = 1; then
   // narrow the output to kill the then-branch and re-pick.

@@ -308,5 +308,26 @@ TEST(LintRules, ValidateDelegatesToSharedChecker) {
   EXPECT_DEATH(c.validate(), "undriven-net");
 }
 
+// validate(first) checks the nets a growth step appended: a defect at or
+// after `first` aborts it. Nets before `first` are left to the earlier
+// check — but lint, which always covers every net, still reports them.
+TEST(LintRules, ValidateFromFirstChecksAppendedNets) {
+  Circuit c("grown");
+  const NetId a = c.add_input("a", 1);
+  const NetId first = c.num_nets();
+  c.add_not(a);
+  c.add_unchecked(make_node(Op::kAnd, 1, {a, 99}));
+  EXPECT_DEATH(c.validate(first), "undriven-net");
+  EXPECT_DEATH(c.validate(c.num_nets() - 1), "undriven-net");
+
+  Circuit old_defect("grown");
+  const NetId b = old_defect.add_input("b", 1);
+  old_defect.add_unchecked(make_node(Op::kNot, 1, {ir::kNoNet}));
+  const NetId appended = old_defect.num_nets();
+  old_defect.add_not(b);
+  old_defect.validate(appended);  // the defect precedes `first`
+  expect_rule(lint_circuit(old_defect), "undriven-net");
+}
+
 }  // namespace
 }  // namespace rtlsat::lint

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ir/analysis.h"
+
 namespace rtlsat::prop {
 namespace {
 
@@ -113,6 +115,36 @@ TEST(Engine, ArenaRollbackKeepsGraphFlat) {
           << "cycle " << cycle;
       EXPECT_EQ(graph, first_graph) << "cycle " << cycle;
     }
+  }
+}
+
+// The reader lists are extended over appended nets only; after every
+// growth step they must equal a rebuild (ir::fanouts) element for element,
+// repeated operands included.
+TEST(Engine, SyncCircuitMatchesFreshFanouts) {
+  Circuit c("grow");
+  const NetId x = c.add_input("x", 8);
+  const NetId y = c.add_input("y", 8);
+  c.add_add(x, x);
+  Engine engine(c);
+  const auto expect_fresh = [&] {
+    const auto fanouts = ir::fanouts(c);
+    for (NetId id = 0; id < c.num_nets(); ++id)
+      EXPECT_EQ(engine.readers(id), fanouts[id]) << "net " << id;
+  };
+  expect_fresh();
+  EXPECT_EQ(engine.readers(x).size(), 2u);  // add x x reads x twice
+  ASSERT_TRUE(engine.narrow(y, Interval(0, 9), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  for (int step = 0; step < 3; ++step) {
+    // Old nets x and y gain readers; s is read twice by one node.
+    const NetId z = c.add_input("z" + std::to_string(step), 8);
+    const NetId s = c.add_add(x, z);
+    c.add_lt(y, c.add_add(s, s));
+    engine.sync_circuit();
+    expect_fresh();
+    ASSERT_TRUE(engine.propagate());
+    EXPECT_EQ(engine.interval(y), Interval(0, 9));
   }
 }
 
