@@ -1,20 +1,12 @@
 #include "core/analyze.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "util/assert.h"
 
 namespace rtlsat::core {
 
 namespace {
-
-// A literal pending inclusion, tagged with the level of the event that
-// produced it so the backtrack level can be computed.
-struct TaggedLit {
-  HybridLit lit;
-  std::uint32_t level = 0;
-};
 
 HybridLit negate_event(const prop::Event& ev, bool is_bool_net) {
   if (is_bool_net && ev.cur.is_point()) {
@@ -27,20 +19,30 @@ HybridLit negate_event(const prop::Event& ev, bool is_bool_net) {
 
 }  // namespace
 
-AnalysisResult analyze_conflict(const prop::Engine& engine,
-                                const AnalyzeOptions& options) {
+AnalysisResult ConflictAnalyzer::analyze(const prop::Engine& engine,
+                                         const AnalyzeOptions& options) {
   RTLSAT_ASSERT(engine.in_conflict());
   const auto& trail = engine.trail();
   const std::uint32_t current = engine.level();
-  const ir::Circuit& circuit = engine.circuit();
+  const prop::OpTable& ops = engine.ops();
 
-  std::priority_queue<std::int32_t> pending;
-  std::vector<bool> enqueued(trail.size(), false);
+  if (++epoch_ == 0) {  // wrapped: stale stamps could alias the new epoch
+    std::fill(event_epoch_.begin(), event_epoch_.end(), 0);
+    std::fill(net_epoch_.begin(), net_epoch_.end(), 0);
+    epoch_ = 1;
+  }
+  if (event_epoch_.size() < trail.size()) event_epoch_.resize(trail.size());
+  if (net_epoch_.size() < ops.size()) net_epoch_.resize(ops.size());
+  pending_.clear();
+  collected_.clear();
+
   auto push = [&](std::int32_t e) {
-    if (e >= 0 && !enqueued[static_cast<std::size_t>(e)]) {
-      enqueued[static_cast<std::size_t>(e)] = true;
-      pending.push(e);
-    }
+    if (e < 0) return;
+    std::uint32_t& stamp = event_epoch_[static_cast<std::size_t>(e)];
+    if (stamp == epoch_) return;
+    stamp = epoch_;
+    pending_.push_back(e);
+    std::push_heap(pending_.begin(), pending_.end());
   };
   int resolutions = 0;
   std::vector<std::int32_t> premises;
@@ -54,29 +56,29 @@ AnalysisResult analyze_conflict(const prop::Engine& engine,
 
   for (std::int32_t e : engine.conflict().antecedents) push(e);
 
-  std::vector<TaggedLit> collected;
   // Per-net dedup: events on one net are nested along the trail, so the
   // first literal emitted for a net (highest trail index ⟹ tightest
   // interval) subsumes the rest of that net's chain.
-  std::vector<bool> net_done(circuit.num_nets(), false);
   auto emit = [&](const prop::Event& ev) {
-    if (net_done[ev.net]) return;
-    net_done[ev.net] = true;
-    collected.push_back({negate_event(ev, circuit.is_bool(ev.net)), ev.level});
+    std::uint32_t& stamp = net_epoch_[ev.net];
+    if (stamp == epoch_) return;
+    stamp = epoch_;
+    collected_.push_back({negate_event(ev, ops.is_bool(ev.net)), ev.level});
   };
 
   bool asserting_found = false;
-  while (!pending.empty()) {
-    const std::int32_t e = pending.top();
-    pending.pop();
+  while (!pending_.empty()) {
+    std::pop_heap(pending_.begin(), pending_.end());
+    const std::int32_t e = pending_.back();
+    pending_.pop_back();
     const prop::Event& ev = trail[static_cast<std::size_t>(e)];
     if (ev.level == 0) continue;  // universal facts drop out of the cut
 
     if (ev.level == current && !asserting_found) {
       const bool more_at_current =
-          !pending.empty() &&
-          trail[static_cast<std::size_t>(pending.top())].level == current;
-      const bool bool_point = circuit.is_bool(ev.net) && ev.cur.is_point();
+          !pending_.empty() &&
+          trail[static_cast<std::size_t>(pending_.front())].level == current;
+      const bool bool_point = ops.is_bool(ev.net) && ev.cur.is_point();
       if (more_at_current || !bool_point) {
         // Resolve towards the unique implication point. Data-path events
         // are always resolved here: the asserting literal must be Boolean
@@ -96,7 +98,7 @@ AnalysisResult analyze_conflict(const prop::Engine& engine,
     // after the UIP, which can only happen for redundant chains): keep
     // Boolean assignments as literals; data-path narrowings become word
     // literals when hybrid learning is on, else resolve them away.
-    const bool is_bool = circuit.is_bool(ev.net);
+    const bool is_bool = ops.is_bool(ev.net);
     if (is_bool && ev.cur.is_point()) {
       emit(ev);
     } else if (options.hybrid_word_literals) {
@@ -116,7 +118,7 @@ AnalysisResult analyze_conflict(const prop::Engine& engine,
     std::sort(premises.begin(), premises.end());
     result.premises = std::move(premises);
   }
-  if (collected.empty()) {
+  if (collected_.empty()) {
     result.empty_clause = true;
     return result;
   }
@@ -124,17 +126,18 @@ AnalysisResult analyze_conflict(const prop::Engine& engine,
   // Asserting literal = the one from the highest level; backtrack level =
   // the highest level among the rest.
   std::size_t top = 0;
-  for (std::size_t i = 1; i < collected.size(); ++i) {
-    if (collected[i].level > collected[top].level) top = i;
+  for (std::size_t i = 1; i < collected_.size(); ++i) {
+    if (collected_[i].level > collected_[top].level) top = i;
   }
-  std::swap(collected[0], collected[top]);
+  std::swap(collected_[0], collected_[top]);
   std::uint32_t bt = 0;
-  for (std::size_t i = 1; i < collected.size(); ++i)
-    bt = std::max(bt, collected[i].level);
+  for (std::size_t i = 1; i < collected_.size(); ++i)
+    bt = std::max(bt, collected_[i].level);
 
   result.clause.learnt = true;
   result.clause.origin = HybridClause::Origin::kConflict;
-  for (const TaggedLit& tl : collected) result.clause.lits.push_back(tl.lit);
+  result.clause.lits.reserve(collected_.size());
+  for (const TaggedLit& tl : collected_) result.clause.lits.push_back(tl.lit);
   result.backtrack_level = bt;
   return result;
 }

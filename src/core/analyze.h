@@ -13,6 +13,9 @@
 // asserting literal.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "core/hybrid_clause.h"
 #include "prop/engine.h"
 
@@ -47,7 +50,28 @@ struct AnalysisResult {
   std::vector<std::int32_t> premises;
 };
 
-AnalysisResult analyze_conflict(const prop::Engine& engine,
-                                const AnalyzeOptions& options = {});
+// One per solver: analyze() keeps its marks and heap across conflicts
+// (MiniSat's persistent `seen`), so a conflict costs what it resolves, not
+// O(trail + nets) of setup. Event and net marks are stamped with a
+// per-call epoch, so starting a call clears them in O(1).
+class ConflictAnalyzer {
+ public:
+  AnalysisResult analyze(const prop::Engine& engine,
+                         const AnalyzeOptions& options = {});
+
+ private:
+  // A literal pending inclusion, tagged with the level of the event that
+  // produced it so the backtrack level can be computed.
+  struct TaggedLit {
+    HybridLit lit;
+    std::uint32_t level = 0;
+  };
+
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> event_epoch_;  // by trail index: queued
+  std::vector<std::uint32_t> net_epoch_;    // by net: literal emitted
+  std::vector<std::int32_t> pending_;       // max-heap of trail indices
+  std::vector<TaggedLit> collected_;
+};
 
 }  // namespace rtlsat::core

@@ -133,7 +133,7 @@ void HdpllSolver::backtrack_to(std::uint32_t level) {
   for (std::size_t i = trail.size(); i > 0; --i) {
     const prop::Event& ev = trail[i - 1];
     if (ev.level <= level) break;
-    if (circuit_.is_bool(ev.net) && ev.cur.is_point()) {
+    if (engine_.ops().is_bool(ev.net) && ev.cur.is_point()) {
       phase_[ev.net] = ev.cur.lo() == 1;
       heap_.insert(ev.net);
     }
@@ -284,7 +284,7 @@ bool HdpllSolver::handle_conflict() {
     return true;
   }
 
-  const AnalysisResult analysis = analyze_conflict(engine_, options_.analyze);
+  const AnalysisResult analysis = analyzer_.analyze(engine_, options_.analyze);
   // Stage the certificate replay now: the premise events and the engine's
   // conflict record do not survive the backtrack below.
   if (proof_log_ != nullptr) proof_log_->capture_learn(analysis);
@@ -421,6 +421,9 @@ SolveResult HdpllSolver::solve(
     RTLSAT_ASSERT(!interval.is_empty());
   call_assumptions_ = assumptions;
   SolveResult result = solve_impl();
+  // The engine's counters are cumulative over calls, like stats_.
+  stats_.counter("prop.propagations") = engine_.num_propagations();
+  stats_.counter("prop.skipped_wakeups") = engine_.num_skipped_wakeups();
   if (proof_log_ != nullptr) {
     switch (result.status) {
       case SolveStatus::kSat: proof_log_->finish("sat"); break;

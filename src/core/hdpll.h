@@ -263,6 +263,7 @@ class HdpllSolver {
   const ir::Circuit& circuit_;
   HdpllOptions options_;
   prop::Engine engine_;
+  ConflictAnalyzer analyzer_;
   ClauseDb db_;
   std::size_t clause_cursor_ = 0;
   ActivityHeap heap_;

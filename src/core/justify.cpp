@@ -59,15 +59,16 @@ void Justifier::extend(prop::Engine& engine) {
 }
 
 bool Justifier::unjustified(const prop::Engine& engine, NetId id) const {
-  const Node& n = circuit_.node(id);
-  switch (n.op) {
+  const prop::OpTable& ops = engine.ops();
+  const auto operands = ops.operands(id);
+  switch (ops.op(id)) {
     case Op::kAnd:
     case Op::kOr: {
       // Unjustified at the controlled value when no input currently
       // explains it (the implied value is handled by propagation).
-      const int controlled = n.op == Op::kAnd ? 0 : 1;
+      const int controlled = ops.op(id) == Op::kAnd ? 0 : 1;
       if (engine.bool_value(id) != controlled) return false;
-      for (NetId o : n.operands) {
+      for (NetId o : operands) {
         if (engine.bool_value(o) == controlled) return false;
       }
       return true;
@@ -75,17 +76,17 @@ bool Justifier::unjustified(const prop::Engine& engine, NetId id) const {
     case Op::kXor:
       // Two free inputs leave a genuine binary choice.
       return engine.bool_value(id) >= 0 &&
-             engine.bool_value(n.operands[0]) < 0 &&
-             engine.bool_value(n.operands[1]) < 0;
+             engine.bool_value(operands[0]) < 0 &&
+             engine.bool_value(operands[1]) < 0;
     case Op::kNot:
       return false;  // always resolved by implication
     case Op::kMux: {
       // Def. 4.1 rule 2: Boolean input free and the output interval not
       // uniquely determined by the input intervals.
-      if (engine.bool_value(n.operands[0]) >= 0) return false;
+      if (engine.bool_value(operands[0]) >= 0) return false;
       const Interval& out = engine.interval(id);
       const Interval hull =
-          engine.interval(n.operands[1]).hull(engine.interval(n.operands[2]));
+          engine.interval(operands[1]).hull(engine.interval(operands[2]));
       return !out.contains(hull);
     }
     default:

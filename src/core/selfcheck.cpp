@@ -267,6 +267,8 @@ std::vector<std::string> check_growth(const prop::Engine& engine,
                                       const Justifier* justifier) {
   std::vector<std::string> violations;
   const ir::Circuit& circuit = engine.circuit();
+  if (engine.ops() != prop::OpTable(circuit))
+    violations.push_back("operator table differs from a rebuild");
   const auto fanouts = ir::fanouts(circuit);
   for (NetId id = 0; id < circuit.num_nets(); ++id) {
     if (engine.readers(id) != fanouts[id]) {

@@ -63,10 +63,11 @@ std::vector<std::string> check_interval_soundness(
     const std::unordered_map<ir::NetId, std::int64_t>& input_values);
 
 // Incremental circuit growth against a rebuild from scratch: the engine's
-// reader lists must equal ir::fanouts element for element and, when
-// `justifier` is non-null, its candidate order and unjustified marks must
-// equal those of a Justifier freshly built over a copy of the engine. Call
-// right after a growth step (HdpllSolver::sync_circuit).
+// operator table must equal a fresh prop::OpTable, its reader lists must
+// equal ir::fanouts element for element and, when `justifier` is non-null,
+// its candidate order and unjustified marks must equal those of a
+// Justifier freshly built over a copy of the engine. Call right after a
+// growth step (HdpllSolver::sync_circuit).
 std::vector<std::string> check_growth(const prop::Engine& engine,
                                       const Justifier* justifier);
 

@@ -17,17 +17,18 @@ void Engine::sync_circuit() {
   const NetId old_nets = static_cast<NetId>(domain_.size());
   const NetId num_nets = circuit_.num_nets();
   if (old_nets == num_nets) return;
+  ops_.extend(circuit_);
   domain_.reserve(num_nets);
   fanout_.resize(num_nets);
   latest_.resize(num_nets, -1);
-  in_queue_.resize(num_nets, false);
+  queue_flags_.resize(num_nets, 0);
   for (NetId id = old_nets; id < num_nets; ++id) {
-    const ir::Node& n = circuit_.node(id);
     // Constants are pinned from the start; everything else gets its full
     // width domain. Initial domains are universal facts and need no events.
-    domain_.push_back(n.op == ir::Op::kConst ? Interval::point(n.imm)
-                                             : circuit_.domain(id));
-    for (NetId o : n.operands) fanout_[o].push_back(id);
+    domain_.push_back(ops_.op(id) == ir::Op::kConst
+                          ? Interval::point(ops_.imm(id))
+                          : Interval::full_width(ops_.width(id)));
+    for (NetId o : ops_.operands(id)) fanout_[o].push_back(id);
     // Queue every new node so the next propagate() establishes bounds
     // consistency over it: new nodes read old (possibly already-narrowed)
     // nets, and constant-fed nodes (a concat of a pinned high part, a
@@ -35,13 +36,13 @@ void Engine::sync_circuit() {
     // decision, or the structural strategy justifies operators that were
     // never really free. Old nodes need no re-examination: their operand
     // domains did not change.
-    enqueue_node(id);
+    enqueue_node(id, /*wake=*/true);
   }
 }
 
 void Engine::enqueue_all_nodes() {
   for (NetId id = 0; id < static_cast<NetId>(domain_.size()); ++id)
-    enqueue_node(id);
+    enqueue_node(id, /*wake=*/true);
 }
 
 bool Engine::narrow(NetId net, const Interval& to, ReasonKind kind,
@@ -81,7 +82,7 @@ void Engine::record_event(NetId net, const Interval& next, ReasonKind kind,
   ev.ante_end = static_cast<std::uint32_t>(arena_.size());
   latest_[net] = static_cast<std::int32_t>(trail_.size());
   domain_[net] = next;
-  if (!circuit_.is_bool(net)) ++num_datapath_narrowings_;
+  if (!ops_.is_bool(net)) ++num_datapath_narrowings_;
   if (tracer_->verbose()) {
     tracer_->record(trace::EventKind::kNarrowing, level_, net,
                     static_cast<std::int64_t>(next.count()));
@@ -90,16 +91,16 @@ void Engine::record_event(NetId net, const Interval& next, ReasonKind kind,
   enqueue_neighbourhood(net);
 }
 
-void Engine::enqueue_node(NetId node) {
-  if (!in_queue_[node]) {
-    in_queue_[node] = true;
-    queue_.push_back(node);
-  }
+void Engine::enqueue_node(NetId node, bool wake) {
+  std::uint8_t& flags = queue_flags_[node];
+  if (!(flags & kQueued)) queue_.push_back(node);
+  flags |= wake ? kQueued | kWoken : kQueued;
 }
 
 void Engine::enqueue_neighbourhood(NetId net) {
-  enqueue_node(net);  // the driver node re-examines its own inputs
-  for (NetId reader : fanout_[net]) enqueue_node(reader);
+  // The driver node re-examines its own inputs.
+  enqueue_node(net, net != quiet_);
+  for (NetId reader : fanout_[net]) enqueue_node(reader, reader != quiet_);
 }
 
 void Engine::append_incident_events(NetId node, NetId skip,
@@ -110,7 +111,7 @@ void Engine::append_incident_events(NetId node, NetId skip,
     if (e >= 0) out.push_back(e);
   };
   add(node);
-  for (NetId o : circuit_.node(node).operands) add(o);
+  for (NetId o : ops_.operands(node)) add(o);
 }
 
 bool Engine::propagate() {
@@ -124,11 +125,21 @@ bool Engine::propagate() {
     }
     const NetId node = queue_.back();
     queue_.pop_back();
-    in_queue_[node] = false;
-    ++num_propagations_;
-
+    const bool woken = queue_flags_[node] & kWoken;
+    queue_flags_[node] = 0;
     scratch_.clear();
-    node_rules(circuit_, node, domain_, scratch_);
+    if (!woken || !rule_may_act(ops_, node, domain_)) {
+      ++num_skipped_wakeups_;
+      if constexpr (kSelfCheckBuild) {
+        node_rules(ops_, node, domain_, scratch_);
+        RTLSAT_ASSERT_MSG(scratch_.empty(),
+                          "propagate: a skipped rule would have narrowed");
+      }
+      continue;
+    }
+    ++num_propagations_;
+    node_rules(ops_, node, domain_, scratch_);
+    quiet_ = rule_is_idempotent(ops_.op(node)) ? node : ir::kNoNet;
     for (const Narrowing& nw : scratch_) {
       if (nw.interval.is_empty()) {
         conflict_.valid = true;
@@ -140,8 +151,9 @@ bool Engine::propagate() {
         tracer_->record(trace::EventKind::kPropConflict, level_, nw.net,
                         static_cast<std::int64_t>(ReasonKind::kNode));
         // Drain the queue flags so a later propagate() starts clean.
-        for (NetId q : queue_) in_queue_[q] = false;
+        for (NetId q : queue_) queue_flags_[q] = 0;
         queue_.clear();
+        quiet_ = ir::kNoNet;
         return false;
       }
       // The rule result was computed against the domains as they were when
@@ -153,6 +165,7 @@ bool Engine::propagate() {
       append_incident_events(node, nw.net, arena_);
       record_event(nw.net, next, ReasonKind::kNode, node, ante_begin);
     }
+    quiet_ = ir::kNoNet;
   }
   return true;
 }
@@ -168,7 +181,7 @@ void Engine::rollback_to(std::size_t mark) {
     latest_[ev.net] = ev.prev_on_net;
     trail_.pop_back();
   }
-  for (NetId q : queue_) in_queue_[q] = false;
+  for (NetId q : queue_) queue_flags_[q] = 0;
   queue_.clear();
   conflict_ = Conflict{};
 }
@@ -181,8 +194,8 @@ void Engine::backtrack_to_level(std::uint32_t level) {
 }
 
 bool Engine::all_booleans_assigned() const {
-  for (NetId id = 0; id < circuit_.num_nets(); ++id) {
-    if (circuit_.is_bool(id) && !domain_[id].is_point()) return false;
+  for (NetId id = 0; id < ops_.size(); ++id) {
+    if (ops_.is_bool(id) && !domain_[id].is_point()) return false;
   }
   return true;
 }

@@ -8,6 +8,15 @@
 // the rule). The trail is exactly the hybrid implication graph IG(N,E):
 // nodes are events, edges run from antecedent to consequence.
 //
+// A narrowing queues the net's driver and every reader. A queued node runs
+// its rule only when it is *woken* (Schulte & Stuckey's propagator wake
+// conditions): its own narrowings do not wake an idempotent rule (and, or,
+// not, xor, zext), and a mux or comparator whose exact state predicate
+// (rule_may_act) says it would emit nothing is skipped too. Skipped calls
+// emit nothing by construction, so the queue order, the trail and every
+// antecedent are those of running every queued rule; self-check builds run
+// each skipped rule anyway and abort if it would have narrowed.
+//
 // Narrowings are monotonic (intervals only shrink) so the fixpoint
 // terminates on the finite circuit domains, and the trail supports
 // chronological undo for backtracking and for the probe/rollback cycle of
@@ -68,6 +77,9 @@ class Engine {
   explicit Engine(const ir::Circuit& circuit);
 
   const ir::Circuit& circuit() const { return circuit_; }
+  // The circuit's operator nodes as a flat table, kept current by
+  // sync_circuit(); the hot paths read it instead of ir::Node.
+  const OpTable& ops() const { return ops_; }
 
   const Interval& interval(ir::NetId net) const { return domain_[net]; }
   // −1 unassigned, else 0/1. Net must be 1-bit.
@@ -82,12 +94,12 @@ class Engine {
 
   // Adopts nets appended to the circuit since the last call (the circuit
   // is append-only, so existing ids keep their meaning): extends the domain
-  // / event bookkeeping and the reader lists over the new nets only (an old
-  // net can only gain readers, and those are new nodes), and queues the
-  // new nodes so the next propagate() makes the grown circuit bounds
-  // consistent. The constructor is the call from zero nets. Level 0 only —
-  // the level-0 trail survives untouched, which is exactly what
-  // incremental BMC reuses.
+  // / event bookkeeping, the operator table and the reader lists over the
+  // new nets only (an old net can only gain readers, and those are new
+  // nodes), and queues the new nodes so the next propagate() makes the
+  // grown circuit bounds consistent. The constructor is the call from zero
+  // nets. Level 0 only — the level-0 trail survives untouched, which is
+  // exactly what incremental BMC reuses.
   void sync_circuit();
 
   // The nodes that read `net`, ascending, one entry per operand slot (a
@@ -158,7 +170,10 @@ class Engine {
   // part of the search (§2.4).
   bool all_booleans_assigned() const;
 
+  // Rule calls that ran, and queued nodes popped without running their
+  // rule because no wake condition held. Their sum is the number of pops.
   std::int64_t num_propagations() const { return num_propagations_; }
+  std::int64_t num_skipped_wakeups() const { return num_skipped_wakeups_; }
   std::int64_t num_datapath_narrowings() const {
     return num_datapath_narrowings_;
   }
@@ -198,13 +213,14 @@ class Engine {
   void record_event(ir::NetId net, const Interval& next, ReasonKind kind,
                     std::uint32_t reason_id, std::size_t ante_begin);
   void enqueue_neighbourhood(ir::NetId net);
-  void enqueue_node(ir::NetId node);
+  void enqueue_node(ir::NetId node, bool wake);
   // Appends to `out` the latest events of all nets incident to `node`
   // (operands + output), optionally skipping `skip`.
   void append_incident_events(ir::NetId node, ir::NetId skip,
                               std::vector<std::int32_t>& out) const;
 
   const ir::Circuit& circuit_;
+  OpTable ops_;
   std::vector<Interval> domain_;
   std::vector<std::vector<ir::NetId>> fanout_;
   std::vector<Event> trail_;
@@ -213,7 +229,13 @@ class Engine {
   std::vector<std::int32_t> arena_;
   std::vector<std::int32_t> latest_;
   std::vector<ir::NetId> queue_;
-  std::vector<bool> in_queue_;
+  // Per node: kQueued while in queue_, plus kWoken once a change since its
+  // last run may make its rule act (never set outside the queue).
+  enum QueueFlag : std::uint8_t { kQueued = 1, kWoken = 2 };
+  std::vector<std::uint8_t> queue_flags_;
+  // The idempotent node whose narrowings propagate() is recording: they
+  // queue it without waking it. kNoNet otherwise.
+  ir::NetId quiet_ = ir::kNoNet;
   Conflict conflict_;
   trace::Tracer* tracer_;
   const StopToken* stop_ = nullptr;
@@ -222,6 +244,7 @@ class Engine {
   std::array<std::size_t, 2> low_water_{};  // by TrailReader
   std::uint32_t level_ = 0;
   std::int64_t num_propagations_ = 0;
+  std::int64_t num_skipped_wakeups_ = 0;
   std::int64_t num_datapath_narrowings_ = 0;
   std::vector<Narrowing> scratch_;
 };

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bmc/unroll.h"
 #include "core/deduce.h"
+#include "itc99/itc99.h"
+#include "util/rng.h"
 
 namespace rtlsat::core {
 namespace {
@@ -49,7 +52,7 @@ TEST(Analyze, OneUipOverBooleanChain) {
     ASSERT_TRUE(engine.narrow(d, Interval::point(0), prop::ReasonKind::kDecision));
     const bool ok = deduce(engine, db, &cursor);
     ASSERT_FALSE(ok);
-    const AnalysisResult result = analyze_conflict(engine);
+    const AnalysisResult result = ConflictAnalyzer().analyze(engine);
     ASSERT_FALSE(result.empty_clause);
     ASSERT_EQ(result.clause.lits.size(), 1u);
     EXPECT_EQ(result.clause.lits[0].net, d);
@@ -69,7 +72,7 @@ TEST(Analyze, LevelZeroConflictYieldsEmptyClause) {
   ASSERT_TRUE(engine.narrow(a, Interval::point(1), prop::ReasonKind::kAssumption));
   ASSERT_TRUE(engine.narrow(na, Interval::point(1), prop::ReasonKind::kAssumption));
   ASSERT_FALSE(engine.propagate());
-  const AnalysisResult result = analyze_conflict(engine);
+  const AnalysisResult result = ConflictAnalyzer().analyze(engine);
   EXPECT_TRUE(result.empty_clause);
 }
 
@@ -93,7 +96,7 @@ TEST(Analyze, BacktrackLevelIsSecondHighest) {
   engine.push_level();
   const bool ok = engine.narrow(b, Interval::point(1), prop::ReasonKind::kDecision);
   EXPECT_FALSE(ok);  // direct contradiction with the implied b=0
-  const AnalysisResult result = analyze_conflict(engine);
+  const AnalysisResult result = ConflictAnalyzer().analyze(engine);
   ASSERT_FALSE(result.empty_clause);
   EXPECT_LE(result.backtrack_level, 1u);
 }
@@ -125,12 +128,61 @@ TEST(Analyze, WordEventsBecomeNegativeWordLiterals) {
   const bool ok =
       engine.narrow(w, Interval(0, 6), prop::ReasonKind::kDecision);
   EXPECT_FALSE(ok);
-  const AnalysisResult with_words = analyze_conflict(engine, {true});
+  const AnalysisResult with_words =
+      ConflictAnalyzer().analyze(engine, {true});
   ASSERT_FALSE(with_words.empty_clause);
   bool has_word_lit = false;
   for (const HybridLit& l : with_words.clause.lits)
     has_word_lit = has_word_lit || !l.is_bool;
   EXPECT_TRUE(has_word_lit);
+}
+
+// One analyzer serves every conflict of a solver; its epoch-stamped marks
+// and reused heap must give each conflict exactly what a fresh analyzer
+// gives: the same clause, backtrack level, resolutions and premises.
+TEST(Analyze, ReusedAnalyzerMatchesFresh) {
+  const bmc::BmcInstance instance =
+      bmc::unroll(itc99::build("b13"), "1", 12);
+  const Circuit& c = instance.circuit;
+  prop::Engine engine(c);
+  ClauseDb db(c);
+  std::size_t cursor = 0;
+  ASSERT_TRUE(deduce(engine, db, &cursor));
+  const AnalyzeOptions options{.record_premises = true};
+  ConflictAnalyzer reused;
+  Rng rng(5);
+  int conflicts = 0;
+  for (int step = 0; step < 4000 && conflicts < 60; ++step) {
+    std::vector<NetId> free;
+    for (NetId id = 0; id < c.num_nets(); ++id)
+      if (c.is_bool(id) && engine.bool_value(id) < 0) free.push_back(id);
+    if (free.empty()) {
+      engine.backtrack_to_level(0);
+      continue;
+    }
+    engine.push_level();
+    ASSERT_TRUE(engine.narrow(free[rng.below(free.size())],
+                              Interval::point(rng.flip() ? 1 : 0),
+                              prop::ReasonKind::kDecision));
+    if (deduce(engine, db, &cursor)) continue;
+    ++conflicts;
+    const AnalysisResult got = reused.analyze(engine, options);
+    const AnalysisResult want = ConflictAnalyzer().analyze(engine, options);
+    ASSERT_EQ(got.empty_clause, want.empty_clause);
+    ASSERT_EQ(got.backtrack_level, want.backtrack_level);
+    ASSERT_EQ(got.resolutions, want.resolutions);
+    ASSERT_EQ(got.premises, want.premises);
+    ASSERT_EQ(got.clause.lits.size(), want.clause.lits.size());
+    for (std::size_t i = 0; i < got.clause.lits.size(); ++i) {
+      EXPECT_EQ(got.clause.lits[i].net, want.clause.lits[i].net);
+      EXPECT_EQ(got.clause.lits[i].interval, want.clause.lits[i].interval);
+      EXPECT_EQ(got.clause.lits[i].positive, want.clause.lits[i].positive);
+    }
+    ASSERT_FALSE(got.empty_clause);
+    engine.backtrack_to_level(engine.level() - 1);
+    cursor = 0;
+  }
+  EXPECT_EQ(conflicts, 60);
 }
 
 }  // namespace

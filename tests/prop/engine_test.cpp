@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/generator.h"
 #include "ir/analysis.h"
+#include "util/rng.h"
+#include "util/stop_token.h"
 
 namespace rtlsat::prop {
 namespace {
@@ -128,6 +131,7 @@ TEST(Engine, SyncCircuitMatchesFreshFanouts) {
   c.add_add(x, x);
   Engine engine(c);
   const auto expect_fresh = [&] {
+    EXPECT_TRUE(engine.ops() == OpTable(c));
     const auto fanouts = ir::fanouts(c);
     for (NetId id = 0; id < c.num_nets(); ++id)
       EXPECT_EQ(engine.readers(id), fanouts[id]) << "net " << id;
@@ -146,6 +150,194 @@ TEST(Engine, SyncCircuitMatchesFreshFanouts) {
     ASSERT_TRUE(engine.propagate());
     EXPECT_EQ(engine.interval(y), Interval(0, 9));
   }
+}
+
+// A mux whose select is decided never reads its unchosen arm: narrowing
+// that arm queues the mux, which is popped without running its rule.
+TEST(Engine, DecidedMuxIgnoresUnchosenArm) {
+  Circuit c("t");
+  const NetId s = c.add_input("s", 1);
+  const NetId a = c.add_input("a", 8);
+  const NetId b = c.add_input("b", 8);
+  const NetId m = c.add_mux(s, a, b);
+  Engine engine(c);
+  ASSERT_TRUE(engine.narrow(s, Interval::point(1), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  const std::int64_t ran = engine.num_propagations();
+  const std::int64_t skipped = engine.num_skipped_wakeups();
+  ASSERT_TRUE(engine.narrow(b, Interval(0, 9), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  EXPECT_EQ(engine.num_propagations(), ran);
+  EXPECT_EQ(engine.num_skipped_wakeups(), skipped + 2);  // b's input, m
+  EXPECT_EQ(engine.interval(m), Interval(0, 255));
+  ASSERT_TRUE(engine.narrow(a, Interval(5, 20), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  EXPECT_EQ(engine.num_propagations(), ran + 1);
+  EXPECT_EQ(engine.interval(m), Interval(5, 20));
+}
+
+// A comparator with a free output acts only once its operands decide it.
+TEST(Engine, UndecidedComparatorWakesWhenOrdered) {
+  Circuit c("t");
+  const NetId x = c.add_input("x", 8);
+  const NetId y = c.add_input("y", 8);
+  const NetId z = c.add_lt(x, y);
+  Engine engine(c);
+  ASSERT_TRUE(engine.propagate());
+  const std::int64_t ran = engine.num_propagations();
+  const std::int64_t skipped = engine.num_skipped_wakeups();
+  ASSERT_TRUE(engine.narrow(x, Interval(0, 100), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.narrow(y, Interval(50, 200), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  EXPECT_EQ(engine.num_propagations(), ran);
+  EXPECT_GT(engine.num_skipped_wakeups(), skipped);
+  EXPECT_EQ(engine.bool_value(z), -1);
+  ASSERT_TRUE(engine.narrow(y, Interval(101, 200), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  EXPECT_EQ(engine.num_propagations(), ran + 1);
+  EXPECT_EQ(engine.bool_value(z), 1);
+}
+
+// A decided x ≤ y reads only x.hi against y.hi and y.lo against x.lo:
+// x.hi falling keeps the order, x.lo rising past y.lo breaks it.
+TEST(Engine, DecidedLeIgnoresFallingHi) {
+  Circuit c("t");
+  const NetId x = c.add_input("x", 8);
+  const NetId y = c.add_input("y", 8);
+  const NetId z = c.add_le(x, y);
+  Engine engine(c);
+  ASSERT_TRUE(engine.narrow(z, Interval::point(1), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.narrow(y, Interval(20, 200), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  EXPECT_EQ(engine.interval(x), Interval(0, 200));
+  const std::int64_t ran = engine.num_propagations();
+  const std::int64_t skipped = engine.num_skipped_wakeups();
+  ASSERT_TRUE(engine.narrow(x, Interval(0, 50), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  EXPECT_EQ(engine.num_propagations(), ran);
+  EXPECT_EQ(engine.num_skipped_wakeups(), skipped + 2);  // x's input, z
+  EXPECT_EQ(engine.interval(y), Interval(20, 200));
+  ASSERT_TRUE(engine.narrow(x, Interval(30, 50), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  EXPECT_EQ(engine.num_propagations(), ran + 1);
+  EXPECT_EQ(engine.interval(y), Interval(30, 200));
+}
+
+// An idempotent rule reaches its fixpoint in one run, so its own
+// narrowings re-queue it without waking it.
+TEST(Engine, IdempotentGateIgnoresOwnNarrowings) {
+  Circuit c("t");
+  const NetId a = c.add_input("a", 1);
+  const NetId b = c.add_input("b", 1);
+  const NetId g = c.add_and(a, b);
+  Engine engine(c);
+  ASSERT_TRUE(engine.propagate());
+  const std::int64_t ran = engine.num_propagations();
+  const std::int64_t skipped = engine.num_skipped_wakeups();
+  ASSERT_TRUE(engine.narrow(g, Interval::point(1), ReasonKind::kAssumption));
+  ASSERT_TRUE(engine.propagate());
+  EXPECT_EQ(engine.bool_value(a), 1);
+  EXPECT_EQ(engine.bool_value(b), 1);
+  // g ran once; the inputs a, b and g itself, re-queued by g's own
+  // narrowings, were popped without running.
+  EXPECT_EQ(engine.num_propagations(), ran + 1);
+  EXPECT_EQ(engine.num_skipped_wakeups(), skipped + 3);
+}
+
+// Wake conditions skip only rule calls that emit nothing, so after every
+// completed propagate() no rule can narrow anything. Random walks over
+// fuzz-generated circuits decide, propagate, backtrack and probe with
+// rollback_to; some rounds run under a fired stop token and are then
+// re-seeded with enqueue_all_nodes() at level 0, as the solver does.
+TEST(Engine, WakeSkippingKeepsFixpoint) {
+  fuzz::GeneratorOptions gen;
+  gen.sequential_percent = 30;
+  std::int64_t stopped_rounds = 0;
+  std::int64_t skipped = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const fuzz::FuzzInstance instance = fuzz::generate(rng, gen);
+    const Circuit& c = instance.circuit;
+    Engine engine(c);
+    std::vector<Interval> dom(c.num_nets());
+    std::vector<Narrowing> out;
+    const auto at_fixpoint = [&] {
+      for (NetId id = 0; id < c.num_nets(); ++id) dom[id] = engine.interval(id);
+      for (NetId id = 0; id < c.num_nets(); ++id) {
+        out.clear();
+        node_rules(engine.ops(), id, dom, out);
+        if (!out.empty()) {
+          ADD_FAILURE() << "seed " << seed << ": node " << id << " ("
+                        << ir::op_name(engine.ops().op(id))
+                        << ") can still narrow";
+          return false;
+        }
+      }
+      return true;
+    };
+    // Narrows a random free net to a random part of its interval.
+    const auto decide = [&] {
+      std::vector<NetId> free;
+      for (NetId id = 0; id < c.num_nets(); ++id)
+        if (!engine.interval(id).is_point()) free.push_back(id);
+      if (free.empty()) return false;
+      const NetId net = free[rng.below(free.size())];
+      const Interval d = engine.interval(net);
+      const std::int64_t lo = rng.range(d.lo(), d.hi());
+      const std::int64_t hi = rng.range(lo, std::min(d.hi(), lo + 8));
+      return engine.narrow(net, Interval(lo, hi), ReasonKind::kDecision);
+    };
+    // One decision level; a conflict undoes it.
+    const auto descend = [&] {
+      engine.push_level();
+      if (decide() && engine.propagate()) return true;
+      engine.backtrack_to_level(engine.level() - 1);
+      return false;
+    };
+    ASSERT_TRUE(engine.propagate());
+    ASSERT_TRUE(at_fixpoint());
+    for (int step = 0; step < 150; ++step) {
+      switch (rng.below(4)) {
+        case 0:
+        case 1:
+          descend();
+          break;
+        case 2: {  // probe: narrow, propagate, roll back
+          const std::size_t mark = engine.mark();
+          if (decide()) engine.propagate();
+          engine.rollback_to(mark);
+          break;
+        }
+        case 3:
+          engine.backtrack_to_level(
+              static_cast<std::uint32_t>(rng.below(engine.level() + 1)));
+          break;
+      }
+      ASSERT_TRUE(at_fixpoint()) << "step " << step;
+      if (step % 50 != 49) continue;
+      // A round under a fired token: enough pops that a stop poll ran.
+      StopSource source;
+      source.request_stop();
+      const StopToken token = source.token();
+      engine.set_stop(&token);
+      const auto pops = [&] {
+        return engine.num_propagations() + engine.num_skipped_wakeups();
+      };
+      const std::int64_t before = pops();
+      for (int round = 0; round < 2000 && pops() - before <= 4096; ++round) {
+        if (!descend()) engine.backtrack_to_level(0);
+      }
+      engine.set_stop(nullptr);
+      if (pops() - before > 4096) ++stopped_rounds;
+      engine.backtrack_to_level(0);
+      engine.enqueue_all_nodes();
+      ASSERT_TRUE(engine.propagate());
+      ASSERT_TRUE(at_fixpoint()) << "after the stopped round at " << step;
+    }
+    skipped += engine.num_skipped_wakeups();
+  }
+  EXPECT_GT(skipped, 0);
+  EXPECT_GT(stopped_rounds, 0);
 }
 
 TEST(Engine, RollbackRestoresDomains) {

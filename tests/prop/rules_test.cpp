@@ -13,7 +13,7 @@ using ir::NetId;
 std::vector<Narrowing> run(const Circuit& c, NetId node,
                            std::vector<Interval> dom) {
   std::vector<Narrowing> out;
-  node_rules(c, node, dom, out);
+  node_rules(OpTable(c), node, dom, out);
   return out;
 }
 
@@ -240,6 +240,110 @@ TEST(RuleMinMax, RawNodes) {
   dom[y] = Interval(4, 6);
   const auto out = run(c, mn, dom);
   EXPECT_EQ(narrowed(out, mn, dom[mn]), Interval(2, 6));
+}
+
+// A 1-bit node appended verbatim (no folding, no lowering).
+NetId add_raw(Circuit& c, ir::Op op, std::vector<NetId> operands) {
+  ir::Node n;
+  n.op = op;
+  n.operands = std::move(operands);
+  return c.add_unchecked(std::move(n));
+}
+
+// Every non-empty interval inside the full domain of `width`.
+std::vector<Interval> all_intervals(int width) {
+  std::vector<Interval> out;
+  const Interval::Value top = (Interval::Value{1} << width) - 1;
+  for (Interval::Value lo = 0; lo <= top; ++lo)
+    for (Interval::Value hi = lo; hi <= top; ++hi) out.emplace_back(lo, hi);
+  return out;
+}
+
+// The wake predicates are exact for muxes and all four comparators: over
+// every domain combination at width 2, rule_may_act is false iff the rule
+// emits nothing.
+TEST(WakePredicates, ExactOnSmallDomains) {
+  const auto words = all_intervals(2);
+  const auto bools = all_intervals(1);
+  {
+    Circuit c("mux");
+    const NetId s = c.add_input("s", 1);
+    const NetId t = c.add_input("t", 2);
+    const NetId e = c.add_input("e", 2);
+    const NetId m = c.add_mux(s, t, e);
+    const OpTable ops(c);
+    auto dom = full_domains(c);
+    for (const Interval& ds : bools)
+      for (const Interval& dt : words)
+        for (const Interval& de : words)
+          for (const Interval& dm : words) {
+            dom[s] = ds, dom[t] = dt, dom[e] = de, dom[m] = dm;
+            std::vector<Narrowing> out;
+            node_rules(ops, m, dom, out);
+            ASSERT_EQ(rule_may_act(ops, m, dom), !out.empty())
+                << "s " << ds.to_string() << " t " << dt.to_string() << " e "
+                << de.to_string() << " m " << dm.to_string();
+          }
+  }
+  for (const ir::Op op : {ir::Op::kEq, ir::Op::kNe, ir::Op::kLt, ir::Op::kLe}) {
+    Circuit c("cmp");
+    const NetId x = c.add_input("x", 2);
+    const NetId y = c.add_input("y", 2);
+    const NetId z = add_raw(c, op, {x, y});
+    const OpTable ops(c);
+    auto dom = full_domains(c);
+    for (const Interval& dz : bools)
+      for (const Interval& dx : words)
+        for (const Interval& dy : words) {
+          dom[x] = dx, dom[y] = dy, dom[z] = dz;
+          std::vector<Narrowing> out;
+          node_rules(ops, z, dom, out);
+          ASSERT_EQ(rule_may_act(ops, z, dom), !out.empty())
+              << ir::op_name(op) << " x " << dx.to_string() << " y "
+              << dy.to_string() << " z " << dz.to_string();
+        }
+  }
+}
+
+// rule_is_idempotent's operators reach their local fixpoint in one run:
+// applying one run's narrowings the way the engine does (in order, each
+// re-intersected) leaves nothing for a second run, repeated operands
+// included.
+TEST(WakePredicates, IdempotentRulesReachFixpointInOneRun) {
+  Circuit c("t");
+  const NetId a = c.add_input("a", 1);
+  const NetId b = c.add_input("b", 1);
+  const NetId w = c.add_input("w", 2);
+  const std::vector<NetId> nodes = {
+      add_raw(c, ir::Op::kAnd, {a, b, a}), add_raw(c, ir::Op::kOr, {a, b, a}),
+      c.add_not(a), c.add_xor(a, b), c.add_zext(w, 3)};
+  const OpTable ops(c);
+  for (const NetId node : nodes) {
+    ASSERT_TRUE(rule_is_idempotent(ops.op(node)));
+    const auto operands = ops.operands(node);
+    const NetId in = operands[0];
+    const NetId other = operands.size() > 1 ? operands[1] : in;
+    for (const Interval& dout : all_intervals(ops.width(node)))
+      for (const Interval& din : all_intervals(ops.width(in)))
+        for (const Interval& dother : all_intervals(ops.width(other))) {
+          auto dom = full_domains(c);
+          dom[in] = din, dom[other] = dother, dom[node] = dout;
+          if (other == in && din != dother) continue;
+          std::vector<Narrowing> out;
+          node_rules(ops, node, dom, out);
+          bool conflict = false;
+          for (const Narrowing& nw : out) {
+            dom[nw.net] = dom[nw.net].intersect(nw.interval);
+            conflict = conflict || dom[nw.net].is_empty();
+          }
+          if (conflict) continue;
+          out.clear();
+          node_rules(ops, node, dom, out);
+          EXPECT_TRUE(out.empty()) << ir::op_name(ops.op(node)) << " in "
+                                   << din.to_string() << " out "
+                                   << dout.to_string();
+        }
+  }
 }
 
 }  // namespace
