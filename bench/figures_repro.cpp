@@ -33,8 +33,8 @@ void figure1() {
   std::size_t cursor = 0;
   run_predicate_learning(engine, db, &cursor, {});
   std::printf("learned clauses:\n");
-  for (const HybridClause& clause : db.all())
-    std::printf("  %s\n", clause.to_string(c).c_str());
+  for (std::uint32_t id = 0; id < db.size(); ++id)
+    std::printf("  %s\n", db.clause(id).to_string(c).c_str());
   std::printf("(paper: e=1 -> a=1 and e=1 -> b=1)\n\n");
 }
 
@@ -74,7 +74,8 @@ void figure2() {
   const auto report = run_predicate_learning(engine, db, &cursor, {});
   std::printf("%d relations learned in %d probes; binary clauses on b5..b9:\n",
               report.relations_learned, report.probes);
-  for (const HybridClause& clause : db.all()) {
+  for (std::uint32_t id = 0; id < db.size(); ++id) {
+    const ClauseView clause = db.clause(id);
     bool relevant = false;
     for (const HybridLit& l : clause.lits)
       relevant = relevant ||

@@ -26,6 +26,7 @@
 #include "fuzz/oracle.h"
 #include "fuzz/reduce.h"
 #include "util/rng.h"
+#include "util/stop_token.h"
 #include "util/timer.h"
 
 using namespace rtlsat;
@@ -45,6 +46,7 @@ struct Args {
   unsigned wide_percent = 15;
   bool portfolio = true;
   bool quiet = false;
+  StopToken stop;  // armed by --seconds
 };
 
 int usage(const char* argv0) {
@@ -79,6 +81,7 @@ fuzz::OracleOptions oracle_options(const Args& args) {
   fuzz::OracleOptions o;
   o.timeout_seconds = args.timeout;
   o.run_portfolio = args.portfolio;
+  o.stop = args.stop;
   return o;
 }
 
@@ -91,7 +94,9 @@ void report_mismatch(const std::string& what,
 // Reduce a disagreeing instance and write the shrunken repro. The
 // interestingness predicate is "the oracle still flags it" — run without
 // the portfolio to keep the many reduction probes cheap; the verdict
-// engines alone re-derive any disagreement the portfolio can.
+// engines alone re-derive any disagreement the portfolio can. The probes
+// ignore the run's deadline: engines abstaining past it would make every
+// probe look uninteresting and leave the repro unreduced.
 void reduce_and_write(const ir::Circuit& circuit, ir::NetId goal,
                       const Args& args, Counters& counters,
                       std::uint64_t instance_seed,
@@ -145,6 +150,7 @@ void run_circuit_instance(const Args& args, std::uint64_t instance_seed,
                   report.mismatches);
   fuzz::OracleOptions probe = oracle_options(args);
   probe.run_portfolio = false;
+  probe.stop = StopToken();
   reduce_and_write(inst.circuit, inst.goal, args, counters, instance_seed,
                    [&probe](const ir::Circuit& c, ir::NetId g) {
                      return !fuzz::run_oracle(c, g, probe).ok();
@@ -175,6 +181,7 @@ void run_presolve_instance(const Args& args, std::uint64_t instance_seed,
                       " (" + inst.description + ")",
                   violations);
   fuzz::OracleOptions probe = oracle_options(args);
+  probe.stop = StopToken();
   reduce_and_write(inst.circuit, inst.goal, args, counters, instance_seed,
                    [&probe](const ir::Circuit& c, ir::NetId g) {
                      return !fuzz::compare_presolve(c, g, probe).empty();
@@ -259,6 +266,9 @@ int main(int argc, char** argv) {
 
     Counters counters;
     Timer timer;
+    // Engines still running at the budget's end are cut short and abstain,
+    // so the last iteration cannot overrun it by a whole engine matrix.
+    args.stop = StopToken::after(args.seconds);
     // Each iteration draws its own Rng from a distinct seed, so any
     // mismatch is reproducible from its instance seed alone regardless of
     // how many iterations ran before it.

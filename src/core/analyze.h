@@ -10,7 +10,10 @@
 //
 // The cut construction is first-UIP: events at the conflicting decision
 // level are resolved until a single one remains, which becomes the
-// asserting literal.
+// asserting literal. The cut is then minimized (Sörensson & Biere,
+// "Minimizing Learned Clauses", SAT 2009, lifted to interval events): a
+// non-asserting literal is dropped when its event is implied by level-0
+// facts and the clause's other literals (see redundant()).
 #pragma once
 
 #include <cstdint>
@@ -44,13 +47,16 @@ struct AnalysisResult {
   // Implication-graph events resolved into their antecedents while building
   // the cut — a proxy for analysis effort, fed to the observability layer.
   int resolutions = 0;
-  // When AnalyzeOptions::record_premises: the resolved events' trail
-  // indices in ascending (replay) order. Assuming the learned clause false
-  // and re-deriving these events bottom-up reproduces the conflict.
+  // Literals of the cut that minimization dropped as redundant.
+  int minimized = 0;
+  // When AnalyzeOptions::record_premises: the trail indices, in ascending
+  // (replay) order, of the resolved events and of the events that
+  // minimization proved redundant. Assuming the learned clause false and
+  // re-deriving these events bottom-up reproduces the conflict.
   std::vector<std::int32_t> premises;
 };
 
-// One per solver: analyze() keeps its marks and heap across conflicts
+// One per solver: analyze() keeps its marks and queue across conflicts
 // (MiniSat's persistent `seen`), so a conflict costs what it resolves, not
 // O(trail + nets) of setup. Event and net marks are stamped with a
 // per-call epoch, so starting a call clears them in O(1).
@@ -60,18 +66,31 @@ class ConflictAnalyzer {
                          const AnalyzeOptions& options = {});
 
  private:
-  // A literal pending inclusion, tagged with the level of the event that
-  // produced it so the backtrack level can be computed.
-  struct TaggedLit {
-    HybridLit lit;
-    std::uint32_t level = 0;
-  };
+  // Whether the event at trail index `e` follows from level-0 events and
+  // the cut's literals: each antecedent of `e`, and its prev_on_net, is a
+  // level-0 event, is covered by the cut's event c on the same net with
+  // a ≤ c < e (nested intervals make c imply a), or is itself redundant.
+  // The strict c < e keeps the justification well-founded: two literals
+  // never justify each other. Decision and assumption events have no
+  // antecedents and are never redundant. Results are memoised per call;
+  // recursion deeper than kMaxDepth gives up (not redundant). With
+  // `premises`, every event proved redundant is appended to it.
+  bool redundant(const prop::Engine& engine, std::int32_t e, int depth,
+                 std::vector<std::int32_t>* premises);
+
+  static constexpr int kMaxDepth = 40;
+  static constexpr std::uint32_t kEpochLimit = std::uint32_t{1} << 31;
 
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> event_epoch_;  // by trail index: queued
-  std::vector<std::uint32_t> net_epoch_;    // by net: literal emitted
-  std::vector<std::int32_t> pending_;       // max-heap of trail indices
-  std::vector<TaggedLit> collected_;
+  // By trail index: 2 · epoch_ + 1 when redundant(), 2 · epoch_ when not.
+  std::vector<std::uint32_t> memo_;
+  std::vector<std::uint32_t> net_epoch_;  // by net: literal emitted
+  std::vector<std::int32_t> net_event_;  // by net: the literal's event
+  // By trail index: event queued for the cut. Every bit is cleared again
+  // before analyze() returns.
+  std::vector<std::uint64_t> pending_;
+  std::vector<std::int32_t> collected_;  // the cut: one event per literal
 };
 
 }  // namespace rtlsat::core

@@ -12,44 +12,46 @@ LitValue lit_value(const HybridLit& l, const prop::Engine& engine) {
 
 }  // namespace
 
-std::uint32_t ClauseDb::add(HybridClause clause) {
+std::uint32_t ClauseDb::add(const HybridClause& clause) {
   RTLSAT_ASSERT(!clause.lits.empty());
   for (const HybridLit& l : clause.lits) {
     RTLSAT_ASSERT_MSG(l.net < watchers_.size(),
                       "clause references a net created after this ClauseDb; "
                       "the circuit must be frozen first");
   }
-  const std::uint32_t id = static_cast<std::uint32_t>(clauses_.size());
+  const std::uint32_t id = static_cast<std::uint32_t>(headers_.size());
   for (const HybridLit& l : clause.lits) {
-    occurrences_[l.net].push_back(id);
     ++net_weight_[l.net];
     if (clause.learnt && l.is_bool)
       ++literal_weight_[l.net][l.interval.lo() == 1 ? 1 : 0];
   }
   if (clause.learnt) ++learnt_count_;
-  clauses_.push_back(std::move(clause));
-  lits_heap_bytes_ += static_cast<std::int64_t>(
-      clauses_.back().lits.capacity() * sizeof(HybridLit));
-  watch_idx_.push_back({0, 0});
+  Header h;
+  h.begin = static_cast<std::uint32_t>(lits_.size());
+  h.size = static_cast<std::uint32_t>(clause.lits.size());
+  h.origin = clause.origin;
+  h.learnt = clause.learnt;
+  headers_.push_back(h);
+  lits_.insert(lits_.end(), clause.lits.begin(), clause.lits.end());
   fresh_.push_back(id);
   return id;
 }
 
 void ClauseDb::watch(std::uint32_t id, std::size_t lit_index) {
-  watchers_[clauses_[id].lits[lit_index].net].push_back(id);
+  watchers_[lits_[headers_[id].begin + lit_index].net].push_back(id);
 }
 
 // Full examination for a clause entering the database: records watches and
 // performs the initial implication/conflict if the clause is already unit
 // or false under the current domains.
 bool ClauseDb::apply_clause_full(std::uint32_t id, prop::Engine& engine) {
-  const HybridClause& c = clauses_[id];
-  RTLSAT_ASSERT_MSG(!c.deleted && !c.lits.empty(),
-                    "propagating a deleted clause");
-  if (c.lits.size() == 1) {
-    watch_idx_[id] = {0, 0};
+  Header& h = headers_[id];
+  RTLSAT_ASSERT_MSG(!h.deleted && h.size > 0, "propagating a deleted clause");
+  const std::span<const HybridLit> lits = lits_of(h);
+  if (lits.size() == 1) {
+    h.watch = {0, 0};
     watch(id, 0);
-    switch (lit_value(c.lits[0], engine)) {
+    switch (lit_value(lits[0], engine)) {
       case LitValue::kTrue: return true;
       case LitValue::kFalse: return imply_or_conflict(id, 0, true, engine);
       case LitValue::kUnknown: return imply_or_conflict(id, 0, false, engine);
@@ -63,8 +65,8 @@ bool ClauseDb::apply_clause_full(std::uint32_t id, prop::Engine& engine) {
   std::size_t true_lit = SIZE_MAX;
   std::size_t latest_false[2] = {SIZE_MAX, SIZE_MAX};
   std::int32_t latest_events[2] = {-1, -1};
-  for (std::size_t i = 0; i < c.lits.size(); ++i) {
-    switch (lit_value(c.lits[i], engine)) {
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    switch (lit_value(lits[i], engine)) {
       case LitValue::kTrue:
         if (true_lit == SIZE_MAX) true_lit = i;
         [[fallthrough]];
@@ -76,7 +78,7 @@ bool ClauseDb::apply_clause_full(std::uint32_t id, prop::Engine& engine) {
         }
         break;
       case LitValue::kFalse: {
-        const std::int32_t ev = engine.latest_event(c.lits[i].net);
+        const std::int32_t ev = engine.latest_event(lits[i].net);
         if (ev > latest_events[0]) {
           latest_events[1] = latest_events[0];
           latest_false[1] = latest_false[0];
@@ -105,8 +107,7 @@ bool ClauseDb::apply_clause_full(std::uint32_t id, prop::Engine& engine) {
     w0 = latest_false[0];
     w1 = pick(latest_false[1], w0);
   }
-  watch_idx_[id] = {static_cast<std::uint32_t>(w0),
-                    static_cast<std::uint32_t>(w1)};
+  h.watch = {static_cast<std::uint32_t>(w0), static_cast<std::uint32_t>(w1)};
   watch(id, w0);
   if (w1 != w0) watch(id, w1);
 
@@ -118,20 +119,21 @@ bool ClauseDb::apply_clause_full(std::uint32_t id, prop::Engine& engine) {
 
 bool ClauseDb::imply_or_conflict(std::uint32_t id, std::size_t unit_index,
                                  bool conflicting, prop::Engine& engine) {
-  HybridClause& c = clauses_[id];
-  if (c.learnt) {
-    c.activity += activity_increment_;
-    if (c.activity > 1e20) {
-      for (HybridClause& cl : clauses_) {
-        if (cl.learnt) cl.activity *= 1e-20;
+  Header& h = headers_[id];
+  if (h.learnt) {
+    h.activity += activity_increment_;
+    if (h.activity > 1e20) {
+      for (Header& other : headers_) {
+        if (other.learnt) other.activity *= 1e-20;
       }
       activity_increment_ *= 1e-20;
     }
   }
+  const std::span<const HybridLit> lits = lits_of(h);
   antecedents_.clear();
-  for (std::size_t i = 0; i < c.lits.size(); ++i) {
+  for (std::size_t i = 0; i < lits.size(); ++i) {
     if (!conflicting && i == unit_index) continue;
-    const std::int32_t e = engine.latest_event(c.lits[i].net);
+    const std::int32_t e = engine.latest_event(lits[i].net);
     if (e >= 0) antecedents_.push_back(e);
   }
   if (conflicting) {
@@ -142,7 +144,7 @@ bool ClauseDb::imply_or_conflict(std::uint32_t id, std::size_t unit_index,
     engine.fail(std::move(conflict));
     return false;
   }
-  const HybridLit& unit = c.lits[unit_index];
+  const HybridLit& unit = lits[unit_index];
   const Interval target = unit.implied_interval(engine.interval(unit.net));
   // A negative word literal whose complement is not interval-representable
   // cannot be imposed; the clause stays pending (sound, merely lazier).
@@ -153,32 +155,33 @@ bool ClauseDb::imply_or_conflict(std::uint32_t id, std::size_t unit_index,
 
 bool ClauseDb::on_watched_event(std::uint32_t id, ir::NetId net,
                                 prop::Engine& engine, bool* keep_watch) {
-  HybridClause& c = clauses_[id];
-  auto& w = watch_idx_[id];
+  Header& h = headers_[id];
+  auto& w = h.watch;
   *keep_watch = true;
-  if (c.deleted) {
+  if (h.deleted) {
     *keep_watch = false;  // lazily unhook reduced clauses
     return true;
   }
-  if (c.lits[w[0]].net != net && c.lits[w[1]].net != net) {
+  const std::span<const HybridLit> lits = lits_of(h);
+  if (lits[w[0]].net != net && lits[w[1]].net != net) {
     *keep_watch = false;  // stale entry left behind by a moved watch
     return true;
   }
   // Satisfied through a watched literal: nothing to do.
-  if (lit_value(c.lits[w[0]], engine) == LitValue::kTrue ||
-      lit_value(c.lits[w[1]], engine) == LitValue::kTrue) {
+  if (lit_value(lits[w[0]], engine) == LitValue::kTrue ||
+      lit_value(lits[w[1]], engine) == LitValue::kTrue) {
     return true;
   }
 
   for (int s = 0; s < 2; ++s) {
     const std::uint32_t wi = w[s];
-    if (c.lits[wi].net != net) continue;
-    if (lit_value(c.lits[wi], engine) != LitValue::kFalse) continue;
+    if (lits[wi].net != net) continue;
+    if (lit_value(lits[wi], engine) != LitValue::kFalse) continue;
     // Try to move this watch to a non-false, unwatched literal.
     std::size_t replacement = SIZE_MAX;
-    for (std::size_t i = 0; i < c.lits.size(); ++i) {
+    for (std::size_t i = 0; i < lits.size(); ++i) {
       if (i == w[0] || i == w[1]) continue;
-      if (lit_value(c.lits[i], engine) != LitValue::kFalse) {
+      if (lit_value(lits[i], engine) != LitValue::kFalse) {
         replacement = i;
         break;
       }
@@ -191,13 +194,13 @@ bool ClauseDb::on_watched_event(std::uint32_t id, ir::NetId net,
     // No replacement: unit on the other watch, or conflicting.
     const std::uint32_t other = w[1 - s];
     const LitValue v = other == wi ? LitValue::kFalse
-                                   : lit_value(c.lits[other], engine);
+                                   : lit_value(lits[other], engine);
     if (v == LitValue::kFalse)
       return imply_or_conflict(id, 0, /*conflicting=*/true, engine);
     if (!imply_or_conflict(id, other, /*conflicting=*/false, engine))
       return false;
   }
-  *keep_watch = c.lits[w[0]].net == net || c.lits[w[1]].net == net;
+  *keep_watch = lits[w[0]].net == net || lits[w[1]].net == net;
   return true;
 }
 
@@ -207,37 +210,47 @@ std::size_t ClauseDb::reduce(const prop::Engine& engine) {
   // their first propagation (fresh — typically the clause just learned
   // from the current conflict) must survive too: deleting them would lose
   // the asserting implication and leave dangling watch setup.
-  std::vector<bool> locked(clauses_.size(), false);
+  std::vector<bool> locked(headers_.size(), false);
   for (const prop::Event& ev : engine.trail()) {
     if (ev.kind == prop::ReasonKind::kClause) locked[ev.reason_id] = true;
   }
   for (const std::uint32_t id : fresh_) locked[id] = true;
   std::vector<std::uint32_t> candidates;
-  for (std::uint32_t id = 0; id < clauses_.size(); ++id) {
-    const HybridClause& c = clauses_[id];
-    if (c.learnt && !c.deleted && !locked[id] && c.lits.size() > 2)
+  for (std::uint32_t id = 0; id < headers_.size(); ++id) {
+    const Header& h = headers_[id];
+    if (h.learnt && !h.deleted && !locked[id] && h.size > 2)
       candidates.push_back(id);
   }
   std::sort(candidates.begin(), candidates.end(),
             [this](std::uint32_t a, std::uint32_t b) {
-              return clauses_[a].activity < clauses_[b].activity;
+              return headers_[a].activity < headers_[b].activity;
             });
-  std::size_t deleted = 0;
-  for (std::size_t i = 0; i < candidates.size() / 2; ++i) {
-    HybridClause& c = clauses_[candidates[i]];
-    for (const HybridLit& l : c.lits) {
+  const std::size_t deleted = candidates.size() / 2;
+  for (std::size_t i = 0; i < deleted; ++i) {
+    Header& h = headers_[candidates[i]];
+    for (const HybridLit& l : lits_of(h)) {
       --net_weight_[l.net];
       if (l.is_bool) --literal_weight_[l.net][l.interval.lo() == 1 ? 1 : 0];
     }
-    lits_heap_bytes_ -=
-        static_cast<std::int64_t>(c.lits.capacity() * sizeof(HybridLit));
-    c.deleted = true;
-    c.lits.clear();
-    c.lits.shrink_to_fit();
+    h.deleted = true;
     --learnt_count_;
-    ++deleted;
   }
+  if (deleted > 0) compact();
   return deleted;
+}
+
+void ClauseDb::compact() {
+  // Survivors keep their id order, so each slides down (or stays put):
+  // a forward copy never overwrites literals it has yet to read.
+  std::uint32_t end = 0;
+  for (Header& h : headers_) {
+    if (h.deleted) h.size = 0;
+    std::copy_n(lits_.begin() + h.begin, h.size, lits_.begin() + end);
+    h.begin = end;
+    end += h.size;
+  }
+  lits_.resize(end);
+  lits_.shrink_to_fit();
 }
 
 bool ClauseDb::propagate(prop::Engine& engine, std::size_t* cursor) {

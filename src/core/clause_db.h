@@ -21,6 +21,8 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/hybrid_clause.h"
@@ -28,28 +30,48 @@
 
 namespace rtlsat::core {
 
+// A stored clause: its literals (a slice of the database's arena) and its
+// bookkeeping. Valid until the next ClauseDb::add() or reduce().
+struct ClauseView {
+  std::span<const HybridLit> lits;
+  bool learnt = false;
+  bool deleted = false;
+  HybridClause::Origin origin = HybridClause::Origin::kProblem;
+
+  HybridClause to_clause() const {
+    return {{lits.begin(), lits.end()}, learnt, origin};
+  }
+  std::string to_string(const ir::Circuit& circuit) const {
+    return clause_to_string(lits, circuit);
+  }
+};
+
 class ClauseDb {
  public:
   explicit ClauseDb(const ir::Circuit& circuit)
       : watchers_(circuit.num_nets()),
-        occurrences_(circuit.num_nets()),
         net_weight_(circuit.num_nets(), 0),
         literal_weight_(circuit.num_nets(), {0, 0}) {}
 
-  std::uint32_t add(HybridClause clause);
+  std::uint32_t add(const HybridClause& clause);
 
   // Adopts nets appended to the circuit since construction: extends the
-  // per-net watch/occurrence/weight tables. Existing clauses and watches
+  // per-net watch and weight tables. Existing clauses and watches
   // are untouched (the circuit is append-only, so old ids keep meaning).
   void sync_circuit(const ir::Circuit& circuit) {
     watchers_.resize(circuit.num_nets());
-    occurrences_.resize(circuit.num_nets());
     net_weight_.resize(circuit.num_nets(), 0);
     literal_weight_.resize(circuit.num_nets(), {0, 0});
   }
 
-  const HybridClause& clause(std::uint32_t id) const { return clauses_[id]; }
-  std::size_t size() const { return clauses_.size(); }
+  // Ids are dense and stable: reduce() marks clauses deleted (leaving them
+  // no literals) but never renumbers, because trail reasons and
+  // certificate records name clauses by id.
+  ClauseView clause(std::uint32_t id) const {
+    const Header& h = headers_[id];
+    return {lits_of(h), h.learnt, h.deleted, h.origin};
+  }
+  std::size_t size() const { return headers_.size(); }
   std::size_t learnt_count() const { return learnt_count_; }
 
   // Runs clause unit propagation against the engine's current domains.
@@ -70,19 +92,12 @@ class ClauseDb {
     return literal_weight_[net][value ? 1 : 0];
   }
 
-  // Ids of the clauses mentioning a net.
-  const std::vector<std::uint32_t>& occurrences(ir::NetId net) const {
-    return occurrences_[net];
-  }
-
-  const std::vector<HybridClause>& all() const { return clauses_; }
-
   // Introspection for the invariant verifier (core/selfcheck.h): the two
   // watched literal indices of a clause, the (lazily pruned, so possibly
   // stale-containing) watcher list of a net, and whether clauses are still
   // awaiting their first propagate().
   const std::array<std::uint32_t, 2>& watch_pair(std::uint32_t id) const {
-    return watch_idx_[id];
+    return headers_[id].watch;
   }
   const std::vector<std::uint32_t>& watch_list(ir::NetId net) const {
     return watchers_[net];
@@ -91,26 +106,41 @@ class ClauseDb {
 
   // Learnt-clause database reduction: deletes the least-active half of the
   // long (> 2 literal) learnt clauses, keeping any clause that is the
-  // reason of a current trail implication. Deleted clauses are dropped
-  // lazily from the watch lists. Returns the number deleted.
+  // reason of a current trail implication, then compacts the literal arena
+  // over the survivors. Deleted clauses are dropped lazily from the watch
+  // lists. Returns the number deleted.
   std::size_t reduce(const prop::Engine& engine);
 
   // Age-based activity: bumped whenever a clause implies or conflicts;
   // the solver decays the increment once per conflict (EVSIDS-style).
   void decay_clause_activity(double factor) { activity_increment_ /= factor; }
 
-  // Instrumented heap accounting for the metrics sampler (O(1) read): the
-  // clause vector plus the literal arrays, maintained incrementally by
-  // add() and reduce(). Watch/occurrence lists are deliberately excluded —
-  // they are index vectors proportional to the same literal count and
-  // would double-count the trend without changing its shape.
+  // Heap held by the clauses (O(1) read, for the metrics sampler): the
+  // literal arena's capacity plus the clause headers. The watch lists are
+  // deliberately excluded — they are index vectors proportional to the
+  // clause count and would double-count the trend without changing its
+  // shape.
   std::int64_t memory_bytes() const {
-    return static_cast<std::int64_t>(clauses_.capacity() *
-                                     sizeof(HybridClause)) +
-           lits_heap_bytes_;
+    return static_cast<std::int64_t>(lits_.capacity() * sizeof(HybridLit) +
+                                     headers_.capacity() * sizeof(Header));
   }
 
  private:
+  struct Header {
+    std::uint32_t begin = 0;  // first literal in lits_
+    std::uint32_t size = 0;
+    // Two watched literal indices (equal for unit clauses).
+    std::array<std::uint32_t, 2> watch{0, 0};
+    double activity = 0;  // learnt clauses only
+    HybridClause::Origin origin = HybridClause::Origin::kProblem;
+    bool learnt = false;
+    bool deleted = false;
+  };
+
+  std::span<const HybridLit> lits_of(const Header& h) const {
+    return {lits_.data() + h.begin, h.size};
+  }
+
   // Full (non-watched) examination used for fresh clauses and as the slow
   // path: finds a satisfied literal or implies/conflicts. Returns false on
   // conflict.
@@ -123,19 +153,18 @@ class ClauseDb {
   bool imply_or_conflict(std::uint32_t id, std::size_t unit_index,
                          bool conflicting, prop::Engine& engine);
   void watch(std::uint32_t id, std::size_t lit_index);
-  void set_initial_watches(std::uint32_t id, const prop::Engine& engine);
+  // Slides the live clauses' literals down over the deleted ones' and
+  // releases the arena's spare capacity.
+  void compact();
 
-  std::vector<HybridClause> clauses_;
-  // Two watched literal indices per clause (equal for unit clauses).
-  std::vector<std::array<std::uint32_t, 2>> watch_idx_;
+  std::vector<HybridLit> lits_;  // every clause's literals, by Header slice
+  std::vector<Header> headers_;  // by clause id
   std::vector<std::vector<std::uint32_t>> watchers_;  // by net
-  std::vector<std::vector<std::uint32_t>> occurrences_;
   std::vector<int> net_weight_;
   std::vector<std::array<int, 2>> literal_weight_;
   std::vector<std::uint32_t> fresh_;  // added but not yet propagated
   std::vector<std::int32_t> antecedents_;  // imply_or_conflict scratch
   std::size_t learnt_count_ = 0;
-  std::int64_t lits_heap_bytes_ = 0;
   double activity_increment_ = 1.0;
 };
 

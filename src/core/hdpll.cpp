@@ -42,6 +42,7 @@ HdpllSolver::HdpllSolver(const ir::Circuit& circuit, HdpllOptions options)
       n_conflicts_(stats_.counter("hdpll.conflicts")),
       n_learned_clauses_(stats_.counter("hdpll.learned_clauses")),
       n_learned_literals_(stats_.counter("hdpll.learned_literals")),
+      n_minimized_literals_(stats_.counter("hdpll.minimized_literals")),
       n_structural_decisions_(stats_.counter("hdpll.structural_decisions")),
       n_justify_scanned_(stats_.counter("justify.candidates_scanned")),
       n_arith_checks_(stats_.counter("hdpll.arith_checks")),
@@ -211,7 +212,8 @@ SolveStatus HdpllSolver::stopped_status() const {
 void HdpllSolver::export_clauses(std::size_t first) {
   if (options_.exchange == nullptr) return;
   for (std::size_t id = first; id < db_.size(); ++id) {
-    if (options_.exchange->offer(db_.clause(static_cast<std::uint32_t>(id))))
+    if (options_.exchange->offer(
+            db_.clause(static_cast<std::uint32_t>(id)).to_clause()))
       ++n_clauses_exported_;
   }
 }
@@ -297,6 +299,7 @@ bool HdpllSolver::handle_conflict() {
       static_cast<std::int64_t>(analysis.clause.lits.size());
   ++n_learned_clauses_;
   n_learned_literals_ += clause_len;
+  n_minimized_literals_ += analysis.minimized;
   h_learned_len_.add(clause_len);
   h_backjump_.add(engine_.level() - analysis.backtrack_level);
   h_resolutions_.add(analysis.resolutions);

@@ -324,6 +324,7 @@ class HdpllSolver {
   std::int64_t& n_conflicts_;
   std::int64_t& n_learned_clauses_;
   std::int64_t& n_learned_literals_;
+  std::int64_t& n_minimized_literals_;
   std::int64_t& n_structural_decisions_;
   std::int64_t& n_justify_scanned_;
   std::int64_t& n_arith_checks_;

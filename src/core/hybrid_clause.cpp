@@ -32,7 +32,8 @@ std::string HybridLit::to_string(const ir::Circuit& circuit) const {
   return os.str();
 }
 
-std::string HybridClause::to_string(const ir::Circuit& circuit) const {
+std::string clause_to_string(std::span<const HybridLit> lits,
+                             const ir::Circuit& circuit) {
   std::ostringstream os;
   os << '(';
   for (std::size_t i = 0; i < lits.size(); ++i) {

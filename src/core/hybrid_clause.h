@@ -10,6 +10,7 @@
 // the usual watched/unit structure over this three-valued evaluation.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,12 +22,14 @@ namespace rtlsat::core {
 
 enum class LitValue { kTrue, kFalse, kUnknown };
 
+// Field order keeps the literal at 24 bytes: the clause database stores
+// learned clauses as one arena of these.
 struct HybridLit {
-  ir::NetId net = ir::kNoNet;
   // For a Boolean literal `interval` is the satisfying point ⟨v,v⟩ with
   // positive == true; word literals use the paper's positive/negative pair
   // semantics.
   Interval interval;
+  ir::NetId net = ir::kNoNet;
   bool positive = true;
   bool is_bool = false;
 
@@ -61,6 +64,11 @@ struct HybridLit {
 
   std::string to_string(const ir::Circuit& circuit) const;
 };
+static_assert(sizeof(HybridLit) <= 24);
+
+// "(l1 | l2 | …)" in the circuit's net names.
+std::string clause_to_string(std::span<const HybridLit> lits,
+                             const ir::Circuit& circuit);
 
 struct HybridClause {
   std::vector<HybridLit> lits;
@@ -82,11 +90,10 @@ struct HybridClause {
   // exporter.
   int shared_from = -1;
   std::int64_t shared_seq = -1;
-  // Database-management state (learnt clauses only).
-  double activity = 0;
-  bool deleted = false;
 
-  std::string to_string(const ir::Circuit& circuit) const;
+  std::string to_string(const ir::Circuit& circuit) const {
+    return clause_to_string(lits, circuit);
+  }
 };
 
 }  // namespace rtlsat::core

@@ -40,7 +40,7 @@ proof::WordLit to_lit(const HybridLit& l) {
   return out;
 }
 
-std::vector<proof::WordLit> to_lits(const std::vector<HybridLit>& lits) {
+std::vector<proof::WordLit> to_lits(std::span<const HybridLit> lits) {
   std::vector<proof::WordLit> out;
   out.reserve(lits.size());
   for (const HybridLit& l : lits) out.push_back(to_lit(l));
@@ -160,7 +160,7 @@ void WordProofLogger::capture_cut(ArithCertCapture& capture) {
 }
 
 void WordProofLogger::commit_cut(std::int64_t clause_id,
-                                 const std::vector<HybridLit>& lits) {
+                                 std::span<const HybridLit> lits) {
   sync_level0();
   writer_->cut(clause_id, to_lits(lits), cut_steps_, cut_fme_);
   cut_steps_.clear();
@@ -225,13 +225,13 @@ void WordProofLogger::wprobe_commit(const std::vector<HybridClause>& clauses,
 }
 
 void WordProofLogger::log_add_clause(std::int64_t id,
-                                     const std::vector<HybridLit>& lits) {
+                                     std::span<const HybridLit> lits) {
   sync_level0();
   writer_->add_clause(id, to_lits(lits));
 }
 
 void WordProofLogger::log_import(std::int64_t id, int worker, std::int64_t seq,
-                                 const std::vector<HybridLit>& lits) {
+                                 std::span<const HybridLit> lits) {
   sync_level0();
   writer_->import_clause(id, worker, seq, to_lits(lits));
 }

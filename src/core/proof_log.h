@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/analyze.h"
@@ -51,7 +52,7 @@ class WordProofLogger {
   // trail replay and the FME sub-certificate before the backtrack, commit
   // with the cut clause once added.
   void capture_cut(ArithCertCapture& capture);
-  void commit_cut(std::int64_t clause_id, const std::vector<HybridLit>& lits);
+  void commit_cut(std::int64_t clause_id, std::span<const HybridLit> lits);
   // Level-0 arithmetic refutation: the whole instance is UNSAT.
   void log_fme0(ArithCertCapture& capture);
 
@@ -73,9 +74,9 @@ class WordProofLogger {
   // Database additions of previously justified clauses (predicate
   // learning), portfolio imports, and reduction deletions (scan: every
   // clause newly marked deleted since the last call gets a delc record).
-  void log_add_clause(std::int64_t id, const std::vector<HybridLit>& lits);
+  void log_add_clause(std::int64_t id, std::span<const HybridLit> lits);
   void log_import(std::int64_t id, int worker, std::int64_t seq,
-                  const std::vector<HybridLit>& lits);
+                  std::span<const HybridLit> lits);
   void log_deletions(const ClauseDb& db);
 
   // FME refutations that came back empty. Every kUnsat answer of a

@@ -125,7 +125,7 @@ std::vector<std::string> check_clause_db(const ClauseDb& db,
   std::size_t expected_learnt = 0;
 
   for (std::uint32_t id = 0; id < db.size(); ++id) {
-    const HybridClause& c = db.clause(id);
+    const ClauseView c = db.clause(id);
     if (c.deleted) continue;
     if (c.lits.empty()) {
       bad(str_format("live clause %u has no literals", id));

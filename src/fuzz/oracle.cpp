@@ -77,6 +77,7 @@ core::HdpllOptions make_options(const HdpllConfig& config,
   o.structural_decisions = config.structural;
   o.predicate_learning = config.predicates;
   o.timeout_seconds = options.timeout_seconds;
+  o.stop = options.stop;
   o.verify_models = true;
   return o;
 }
@@ -141,6 +142,7 @@ struct Harness {
     proof::DratWriter drat;
     sat::SolverOptions o;
     o.timeout_seconds = options.timeout_seconds;
+    o.stop = options.stop;
     if (options.check_proofs) o.drat = &drat;
     bitblast::CheckResult res = bitblast::check_sat(circuit, goal, true, o);
     const char verdict = status_char(res.result);
@@ -160,6 +162,7 @@ struct Harness {
     o.deterministic = true;  // keep the whole oracle reproducible
     o.crosscheck = true;
     o.budget_seconds = options.timeout_seconds * o.jobs;
+    o.stop = options.stop;
     portfolio::Portfolio race(circuit, goal, true, o);
     portfolio::PortfolioResult res = race.solve();
     record("portfolio", status_char(res.status), res.seconds,
@@ -289,6 +292,7 @@ std::vector<std::string> compare_bmc_paths(const ir::SeqCircuit& seq,
     solver_options.structural_decisions = true;
     solver_options.predicate_learning = true;
     solver_options.timeout_seconds = options.timeout_seconds;
+    solver_options.stop = options.stop;
     bmc::IncrementalBmc inc(seq, property, solver_options, cumulative);
     // Third path: the same growing solver with presolve's reach invariants
     // installed as persistent assumptions. An unsound invariant (one that
@@ -359,6 +363,7 @@ std::vector<std::string> compare_presolve(const ir::Circuit& circuit,
   solver_options.structural_decisions = true;
   solver_options.predicate_learning = true;
   solver_options.timeout_seconds = options.timeout_seconds;
+  solver_options.stop = options.stop;
   solver_options.verify_models = true;
 
   // Unconditioned facts must admit every model any path produces — the

@@ -25,11 +25,16 @@
 
 #include "ir/circuit.h"
 #include "ir/seq.h"
+#include "util/stop_token.h"
 
 namespace rtlsat::fuzz {
 
 struct OracleOptions {
   double timeout_seconds = 10;  // per engine
+  // The whole run's stop (default: inert). Every engine observes it on top
+  // of its own timeout, so one whose turn comes after the deadline returns
+  // 'T' and abstains.
+  StopToken stop;
   // Brute force joins when Σ input widths ≤ this many bits (2^n evals).
   int brute_force_max_bits = 18;
   bool run_portfolio = true;

@@ -171,6 +171,7 @@ TEST(Analyze, ReusedAnalyzerMatchesFresh) {
     ASSERT_EQ(got.empty_clause, want.empty_clause);
     ASSERT_EQ(got.backtrack_level, want.backtrack_level);
     ASSERT_EQ(got.resolutions, want.resolutions);
+    ASSERT_EQ(got.minimized, want.minimized);
     ASSERT_EQ(got.premises, want.premises);
     ASSERT_EQ(got.clause.lits.size(), want.clause.lits.size());
     for (std::size_t i = 0; i < got.clause.lits.size(); ++i) {
@@ -183,6 +184,152 @@ TEST(Analyze, ReusedAnalyzerMatchesFresh) {
     cursor = 0;
   }
   EXPECT_EQ(conflicts, 60);
+}
+
+// Minimization, hand-built: w is decided at level 1 and v is implied from
+// w alone (a clause reason stands in for any rule). A level-2 decision r
+// then conflicts with both.
+struct MinimizeFixture {
+  Circuit c{"t"};
+  NetId w = c.add_input("w", 8);
+  NetId v = c.add_input("v", 8);
+  NetId r = c.add_input("r", 1);
+  NetId x = c.add_input("x", 1);
+  prop::Engine engine{c};
+
+  std::int32_t imply(NetId net, const Interval& to, std::int32_t from) {
+    const std::int32_t antecedents[] = {from};
+    EXPECT_TRUE(
+        engine.narrow(net, to, prop::ReasonKind::kClause, 0, antecedents));
+    return engine.latest_event(net);
+  }
+  std::int32_t decide(NetId net, const Interval& to) {
+    EXPECT_TRUE(engine.narrow(net, to, prop::ReasonKind::kDecision));
+    return engine.latest_event(net);
+  }
+  AnalysisResult conflict_at_level_2(std::vector<std::int32_t> events) {
+    engine.push_level();
+    events.push_back(decide(r, Interval::point(1)));
+    prop::Conflict conflict;
+    conflict.kind = prop::ReasonKind::kClause;
+    conflict.antecedents = std::move(events);
+    engine.fail(std::move(conflict));
+    return ConflictAnalyzer().analyze(engine, {.record_premises = true});
+  }
+};
+
+TEST(Analyze, CoveredWordLiteralIsDropped) {
+  MinimizeFixture f;
+  f.engine.push_level();
+  const std::int32_t on_w = f.decide(f.w, Interval(0, 10));
+  const std::int32_t on_v = f.imply(f.v, Interval(1, 11), on_w);
+  const AnalysisResult result = f.conflict_at_level_2({on_v, on_w});
+  // v ∈ ⟨1,11⟩ follows from w ∈ ⟨0,10⟩, which the clause keeps:
+  // (¬r ∨ {w ∉ ⟨0,10⟩}) is learned, and v's derivation joins the premises.
+  ASSERT_EQ(result.clause.lits.size(), 2u);
+  EXPECT_EQ(result.clause.lits[0].net, f.r);
+  EXPECT_EQ(result.clause.lits[1].net, f.w);
+  EXPECT_EQ(result.minimized, 1);
+  EXPECT_EQ(result.backtrack_level, 1u);
+  EXPECT_EQ(result.premises, std::vector<std::int32_t>{on_v});
+}
+
+TEST(Analyze, UncoveredDecisionKeepsItsConsequence) {
+  // w's decision is not in the clause. It has no antecedents, so a rule
+  // that only asked "are all antecedents justified?" would call it
+  // redundant and drop v's literal, learning the invalid unit (¬r).
+  MinimizeFixture f;
+  f.engine.push_level();
+  const std::int32_t on_w = f.decide(f.w, Interval(0, 10));
+  const std::int32_t on_v = f.imply(f.v, Interval(1, 11), on_w);
+  const AnalysisResult result = f.conflict_at_level_2({on_v});
+  ASSERT_EQ(result.clause.lits.size(), 2u);
+  EXPECT_EQ(result.clause.lits[1].net, f.v);
+  EXPECT_EQ(result.minimized, 0);
+  EXPECT_TRUE(result.premises.empty());
+}
+
+TEST(Analyze, LiteralsDoNotJustifyEachOther) {
+  // x ⟹ w ∈ ⟨0,20⟩ ⟹ v ∈ ⟨1,11⟩ ⟹ w ∈ ⟨0,10⟩. The clause keeps v's event
+  // and w's last one. w's first event is covered by its last, and v's
+  // event covers w's last event's antecedent, but only c < e makes a
+  // covering literal count: otherwise both literals would justify each
+  // other and (¬r) would be learned, though it rests on the undecided x.
+  MinimizeFixture f;
+  f.engine.push_level();
+  const std::int32_t on_x = f.decide(f.x, Interval::point(1));
+  const std::int32_t wide_w = f.imply(f.w, Interval(0, 20), on_x);
+  const std::int32_t on_v = f.imply(f.v, Interval(1, 11), wide_w);
+  const std::int32_t tight_w = f.imply(f.w, Interval(0, 10), on_v);
+  const AnalysisResult result = f.conflict_at_level_2({on_v, tight_w});
+  EXPECT_EQ(result.clause.lits.size(), 3u);
+  EXPECT_EQ(result.minimized, 0);
+}
+
+// Every minimized clause is a consequence of the circuit and the clause
+// database it was learned against: asserting the complement of its
+// literals at the root of a fresh engine over copies of both propagates to
+// a conflict. The run learns each clause, backjumps and reduces the
+// database as the solver does.
+TEST(Analyze, MinimizedClauseIsImplied) {
+  const bmc::BmcInstance instance =
+      bmc::unroll(itc99::build("b13"), "1", 12);
+  const Circuit& c = instance.circuit;
+  prop::Engine engine(c);
+  ClauseDb db(c);
+  std::size_t cursor = 0;
+  ASSERT_TRUE(deduce(engine, db, &cursor));
+  ConflictAnalyzer analyzer;
+  Rng rng(7);
+  int conflicts = 0;
+  int minimized = 0;
+  for (int step = 0; step < 20000 && conflicts < 150; ++step) {
+    std::vector<NetId> free;
+    for (NetId id = 0; id < c.num_nets(); ++id)
+      if (c.is_bool(id) && engine.bool_value(id) < 0) free.push_back(id);
+    if (free.empty()) {
+      engine.backtrack_to_level(0);
+      continue;
+    }
+    engine.push_level();
+    ASSERT_TRUE(engine.narrow(free[rng.below(free.size())],
+                              Interval::point(rng.flip() ? 1 : 0),
+                              prop::ReasonKind::kDecision));
+    while (!deduce(engine, db, &cursor)) {
+      ASSERT_GT(engine.level(), 0u) << "b13 is satisfiable";
+      ++conflicts;
+      const AnalysisResult result = analyzer.analyze(engine);
+      ASSERT_FALSE(result.empty_clause);
+      minimized += result.minimized;
+
+      prop::Engine root(c);
+      ClauseDb root_db(c);
+      for (std::uint32_t id = 0; id < db.size(); ++id)
+        if (!db.clause(id).deleted) root_db.add(db.clause(id).to_clause());
+      bool refuted = false;
+      for (const HybridLit& l : result.clause.lits) {
+        // Analysis emits ¬(net = v) and {net ∉ b}; their complements are
+        // (net = v) and net ∈ b.
+        ASSERT_TRUE(l.is_bool || !l.positive);
+        const Interval held =
+            l.is_bool ? Interval::point(1 - l.interval.lo()) : l.interval;
+        if (!root.narrow(l.net, held, prop::ReasonKind::kAssumption)) {
+          refuted = true;
+          break;
+        }
+      }
+      std::size_t root_cursor = 0;
+      EXPECT_TRUE(refuted || !deduce(root, root_db, &root_cursor))
+          << "conflict " << conflicts << " learned "
+          << result.clause.to_string(c);
+
+      engine.backtrack_to_level(result.backtrack_level);
+      db.add(result.clause);
+      if (conflicts % 25 == 0) db.reduce(engine);
+    }
+  }
+  EXPECT_EQ(conflicts, 150);
+  EXPECT_GT(minimized, 0);
 }
 
 }  // namespace

@@ -44,7 +44,8 @@ struct Figure2Circuit {
 };
 
 bool has_binary(const ClauseDb& db, NetId x, bool xv, NetId y, bool yv) {
-  for (const HybridClause& c : db.all()) {
+  for (std::uint32_t id = 0; id < db.size(); ++id) {
+    const ClauseView c = db.clause(id);
     if (c.lits.size() != 2) continue;
     bool found_x = false, found_y = false;
     for (const HybridLit& l : c.lits) {

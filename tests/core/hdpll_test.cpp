@@ -282,8 +282,8 @@ TEST_P(PinnedSearch, CountsUnchanged) {
 
 INSTANTIATE_TEST_SUITE_P(
     Rows, PinnedSearch,
-    ::testing::Values(PinnedRow{"b13", "5", 40, true, 931, 713, 562928},
-                      PinnedRow{"b13", "1", 40, false, 615, 262, 537861}),
+    ::testing::Values(PinnedRow{"b13", "5", 40, true, 923, 720, 557588},
+                      PinnedRow{"b13", "1", 40, false, 785, 446, 717607}),
     [](const auto& info) {
       return std::string(info.param.circuit) + "_" + info.param.property +
              "_k" + std::to_string(info.param.bound) +

@@ -90,7 +90,8 @@ TEST_P(LearnedClauseValidity, EveryLearntClauseIsImplied) {
         const auto values = c.evaluate(input_map);
         if (values[goal] == 1) {
           // Under the assumption, every learnt clause must hold.
-          for (const HybridClause& clause : solver.clauses().all()) {
+          for (std::uint32_t id = 0; id < solver.clauses().size(); ++id) {
+            const ClauseView clause = solver.clauses().clause(id);
             bool holds = false;
             for (const HybridLit& l : clause.lits)
               holds = holds || lit_holds(l, values);

@@ -16,7 +16,8 @@ using ir::NetId;
 // True if the db contains a learnt binary clause ≡ (lhs=lv → rhs=rv),
 // i.e. (¬(lhs=lv) ∨ (rhs=rv)).
 bool has_relation(const ClauseDb& db, NetId lhs, bool lv, NetId rhs, bool rv) {
-  for (const HybridClause& c : db.all()) {
+  for (std::uint32_t id = 0; id < db.size(); ++id) {
+    const ClauseView c = db.clause(id);
     if (!c.learnt || c.lits.size() != 2) continue;
     for (int flip = 0; flip < 2; ++flip) {
       const HybridLit& a = c.lits[flip];
@@ -138,7 +139,8 @@ TEST(PredicateLearning, WordRelationFromCommonNarrowing) {
   const auto report = run_predicate_learning(engine, db, &cursor, options);
   EXPECT_FALSE(report.proven_unsat);
   bool found = false;
-  for (const HybridClause& clause : db.all()) {
+  for (std::uint32_t id = 0; id < db.size(); ++id) {
+    const ClauseView clause = db.clause(id);
     if (clause.lits.size() != 2) continue;
     for (const HybridLit& l : clause.lits) {
       if (!l.is_bool && l.net == w && l.positive &&

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "bmc/unroll.h"
 #include "fuzz/generator.h"
 #include "ir/circuit.h"
@@ -64,6 +67,39 @@ TEST(Oracle, ZeroInputCircuitHandled) {
   EXPECT_EQ(report.consensus, 'S');
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.brute_sat_count, 4);  // every width-2 value satisfies
+}
+
+// The solvers' "0 = no limit" convention holds through the oracle: a zero
+// per-engine timeout runs every engine to a verdict.
+TEST(Oracle, ZeroTimeoutMeansNoLimit) {
+  ir::Circuit c("unsat");
+  const ir::NetId x = c.add_input("x", 3);
+  const ir::NetId low = c.add_lt(x, c.add_const(3, 3));
+  const ir::NetId high = c.add_lt(c.add_const(5, 3), x);
+  const ir::NetId goal = c.add_and({low, high});
+  OracleOptions options = fast_options();
+  options.timeout_seconds = 0;
+  const OracleReport report = run_oracle(c, goal, options);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(report.consensus, 'U');
+  for (const EngineVerdict& v : report.verdicts)
+    EXPECT_EQ(v.verdict, 'U') << v.engine;
+}
+
+// Past the run's stop every solver engine abstains unrun; only brute force,
+// which has no solver budget, still decides.
+TEST(Oracle, ExpiredStopAbstainsEverySolver) {
+  ir::Circuit c("sat");
+  const ir::NetId x = c.add_input("x", 4);
+  const ir::NetId goal = c.add_eq(x, c.add_const(5, 4));
+  OracleOptions options = fast_options();
+  options.stop = StopToken::after(1e-6);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const OracleReport report = run_oracle(c, goal, options);
+  EXPECT_TRUE(report.ok()) << report.summary();
+  ASSERT_GT(report.verdicts.size(), 1u);
+  for (const EngineVerdict& v : report.verdicts)
+    EXPECT_EQ(v.verdict, v.engine == "brute" ? 'S' : 'T') << v.engine;
 }
 
 // The full matrix on a batch of generated instances: this is the fuzzing
