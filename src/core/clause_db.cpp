@@ -137,11 +137,7 @@ bool ClauseDb::imply_or_conflict(std::uint32_t id, std::size_t unit_index,
     if (e >= 0) antecedents_.push_back(e);
   }
   if (conflicting) {
-    prop::Conflict conflict;
-    conflict.kind = prop::ReasonKind::kClause;
-    conflict.reason_id = id;
-    conflict.antecedents = antecedents_;
-    engine.fail(std::move(conflict));
+    engine.fail(prop::ReasonKind::kClause, id, antecedents_);
     return false;
   }
   const HybridLit& unit = lits[unit_index];

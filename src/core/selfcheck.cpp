@@ -1,5 +1,6 @@
 #include "core/selfcheck.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -271,7 +272,7 @@ std::vector<std::string> check_growth(const prop::Engine& engine,
     violations.push_back("operator table differs from a rebuild");
   const auto fanouts = ir::fanouts(circuit);
   for (NetId id = 0; id < circuit.num_nets(); ++id) {
-    if (engine.readers(id) != fanouts[id]) {
+    if (!std::ranges::equal(engine.readers(id), fanouts[id])) {
       violations.push_back(str_format(
           "reader list of n%u has %zu entries, a rebuild has %zu", id,
           engine.readers(id).size(), fanouts[id].size()));

@@ -4,16 +4,6 @@
 
 namespace rtlsat {
 
-Interval Interval::minus(const Interval& other) const {
-  if (is_empty() || other.is_empty() || !intersects(other)) return *this;
-  const bool cuts_low = other.lo_ <= lo_;
-  const bool cuts_high = other.hi_ >= hi_;
-  if (cuts_low && cuts_high) return empty();
-  if (cuts_low) return Interval(other.hi_ + 1, hi_);
-  if (cuts_high) return Interval(lo_, other.lo_ - 1);
-  return *this;  // hole strictly inside: not representable, keep as-is
-}
-
 std::string Interval::to_string() const {
   if (is_empty()) return "<empty>";
   std::ostringstream os;
@@ -23,28 +13,6 @@ std::string Interval::to_string() const {
     os << '<' << lo_ << ',' << hi_ << '>';
   }
   return os.str();
-}
-
-namespace {
-using V = Interval::Value;
-
-V clamp128(__int128 x) {
-  if (x < static_cast<__int128>(kSatMin)) return kSatMin;
-  if (x > static_cast<__int128>(kSatMax)) return kSatMax;
-  return static_cast<V>(x);
-}
-}  // namespace
-
-Interval::Value sat_add(Interval::Value a, Interval::Value b) {
-  return clamp128(static_cast<__int128>(a) + b);
-}
-
-Interval::Value sat_sub(Interval::Value a, Interval::Value b) {
-  return clamp128(static_cast<__int128>(a) - b);
-}
-
-Interval::Value sat_mul(Interval::Value a, Interval::Value b) {
-  return clamp128(static_cast<__int128>(a) * b);
 }
 
 }  // namespace rtlsat

@@ -9,6 +9,9 @@
 // intermediates; circuit widths are capped (ir::kMaxWidth = 60) well below
 // that, so saturation never occurs for in-range circuit values — it only
 // keeps intermediate expressions defined.
+//
+// Everything but to_string() is constexpr and defined here, like the rules
+// of interval_ops.h built on it: propagation calls them on every rule call.
 #pragma once
 
 #include <cstdint>
@@ -100,7 +103,15 @@ class Interval {
   // Set difference *this \ other when the result is a single interval.
   // If `other` splits *this in the middle, returns *this unchanged (a sound
   // over-approximation; the standard treatment for interval domains).
-  Interval minus(const Interval& other) const;
+  constexpr Interval minus(const Interval& other) const {
+    if (!intersects(other)) return *this;
+    const bool cuts_low = other.lo_ <= lo_;
+    const bool cuts_high = other.hi_ >= hi_;
+    if (cuts_low && cuts_high) return empty();
+    if (cuts_low) return Interval(other.hi_ + 1, hi_);
+    if (cuts_high) return Interval(lo_, other.lo_ - 1);
+    return *this;  // hole strictly inside: not representable, keep as-is
+  }
 
   friend constexpr bool operator==(const Interval& a, const Interval& b) {
     return a.lo_ == b.lo_ && a.hi_ == b.hi_;
@@ -117,12 +128,7 @@ class Interval {
   Value hi_;
 };
 
-// Saturating int64 helpers shared by interval_ops.
-Interval::Value sat_add(Interval::Value a, Interval::Value b);
-Interval::Value sat_sub(Interval::Value a, Interval::Value b);
-Interval::Value sat_mul(Interval::Value a, Interval::Value b);
-
-// The saturation rails of the helpers above. An endpoint sitting on a rail
+// The saturation rails of the helpers below. An endpoint sitting on a rail
 // means "the true value did not fit in int64": the interval's *length* can
 // no longer be trusted (two distinct true values may have collapsed onto
 // the same rail), so range-arithmetic fast paths that reason from
@@ -136,6 +142,22 @@ inline constexpr Interval::Value kSatMax =
     std::numeric_limits<Interval::Value>::max();
 constexpr bool endpoint_saturated(Interval::Value v) {
   return v == kSatMin || v == kSatMax;
+}
+
+// Saturating int64 helpers shared by interval_ops, through __int128.
+constexpr Interval::Value sat_clamp(__int128 x) {
+  if (x < static_cast<__int128>(kSatMin)) return kSatMin;
+  if (x > static_cast<__int128>(kSatMax)) return kSatMax;
+  return static_cast<Interval::Value>(x);
+}
+constexpr Interval::Value sat_add(Interval::Value a, Interval::Value b) {
+  return sat_clamp(static_cast<__int128>(a) + b);
+}
+constexpr Interval::Value sat_sub(Interval::Value a, Interval::Value b) {
+  return sat_clamp(static_cast<__int128>(a) - b);
+}
+constexpr Interval::Value sat_mul(Interval::Value a, Interval::Value b) {
+  return sat_clamp(static_cast<__int128>(a) * b);
 }
 
 }  // namespace rtlsat

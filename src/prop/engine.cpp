@@ -1,5 +1,7 @@
 #include "prop/engine.h"
 
+#include <algorithm>
+
 #include "trace/trace.h"
 #include "util/log.h"
 
@@ -19,16 +21,28 @@ void Engine::sync_circuit() {
   if (old_nets == num_nets) return;
   ops_.extend(circuit_);
   domain_.reserve(num_nets);
-  fanout_.resize(num_nets);
   latest_.resize(num_nets, -1);
-  queue_flags_.resize(num_nets, 0);
+  queued_.resize(num_nets, 0);
+  // Each new net's slice is sized for the readers this call appends to it;
+  // only old nets' slices grow in add_reader().
+  reader_slice_.resize(num_nets);
+  for (NetId id = old_nets; id < num_nets; ++id) {
+    for (NetId o : ops_.operands(id))
+      if (o >= old_nets) ++reader_slice_[o].capacity;
+  }
+  auto arena_end = static_cast<std::uint32_t>(reader_arena_.size());
+  for (NetId id = old_nets; id < num_nets; ++id) {
+    reader_slice_[id].begin = arena_end;
+    arena_end += reader_slice_[id].capacity;
+  }
+  reader_arena_.resize(arena_end);
   for (NetId id = old_nets; id < num_nets; ++id) {
     // Constants are pinned from the start; everything else gets its full
     // width domain. Initial domains are universal facts and need no events.
     domain_.push_back(ops_.op(id) == ir::Op::kConst
                           ? Interval::point(ops_.imm(id))
                           : Interval::full_width(ops_.width(id)));
-    for (NetId o : ops_.operands(id)) fanout_[o].push_back(id);
+    for (NetId o : ops_.operands(id)) add_reader(o, id);
     // Queue every new node so the next propagate() establishes bounds
     // consistency over it: new nodes read old (possibly already-narrowed)
     // nets, and constant-fed nodes (a concat of a pinned high part, a
@@ -36,13 +50,28 @@ void Engine::sync_circuit() {
     // decision, or the structural strategy justifies operators that were
     // never really free. Old nodes need no re-examination: their operand
     // domains did not change.
-    enqueue_node(id, /*wake=*/true);
+    enqueue_node(id);
   }
+}
+
+void Engine::add_reader(NetId net, NetId reader) {
+  ReaderSlice& s = reader_slice_[net];
+  if (s.size == s.capacity) {
+    // Full: move the slice to the arena's end with its capacity doubled.
+    const auto begin = static_cast<std::uint32_t>(reader_arena_.size());
+    const std::uint32_t capacity = std::max<std::uint32_t>(2 * s.size, 1);
+    reader_arena_.resize(begin + capacity);
+    std::copy_n(reader_arena_.begin() + s.begin, s.size,
+                reader_arena_.begin() + begin);
+    s.begin = begin;
+    s.capacity = capacity;
+  }
+  reader_arena_[s.begin + s.size++] = reader;
 }
 
 void Engine::enqueue_all_nodes() {
   for (NetId id = 0; id < static_cast<NetId>(domain_.size()); ++id)
-    enqueue_node(id, /*wake=*/true);
+    enqueue_node(id);
 }
 
 bool Engine::narrow(NetId net, const Interval& to, ReasonKind kind,
@@ -52,11 +81,8 @@ bool Engine::narrow(NetId net, const Interval& to, ReasonKind kind,
   const Interval next = domain_[net].intersect(to);
   if (next == domain_[net]) return true;
   if (next.is_empty()) {
-    conflict_.valid = true;
-    conflict_.kind = kind;
-    conflict_.reason_id = reason_id;
+    fail(kind, reason_id, antecedents);
     conflict_.net = net;
-    conflict_.antecedents.assign(antecedents.begin(), antecedents.end());
     if (latest_[net] >= 0) conflict_.antecedents.push_back(latest_[net]);
     tracer_->record(trace::EventKind::kPropConflict, level_, net,
                     static_cast<std::int64_t>(kind));
@@ -91,16 +117,25 @@ void Engine::record_event(NetId net, const Interval& next, ReasonKind kind,
   enqueue_neighbourhood(net);
 }
 
-void Engine::enqueue_node(NetId node, bool wake) {
-  std::uint8_t& flags = queue_flags_[node];
-  if (!(flags & kQueued)) queue_.push_back(node);
-  flags |= wake ? kQueued | kWoken : kQueued;
+void Engine::enqueue_node(NetId node) {
+  if (queued_[node] || node == quiet_) return;
+  if (!rule_may_act(ops_, node, domain_)) {
+    if constexpr (kSelfCheckBuild) check_settled(node);
+    return;
+  }
+  queued_[node] = 1;
+  queue_.push_back(node);
+}
+
+void Engine::check_settled(NetId node) const {
+  std::vector<Narrowing> out;  // scratch_ may hold the batch being recorded
+  node_rules(ops_, node, domain_, out);
+  RTLSAT_ASSERT_MSG(out.empty(), "propagate: a settled node's rule narrows");
 }
 
 void Engine::enqueue_neighbourhood(NetId net) {
-  // The driver node re-examines its own inputs.
-  enqueue_node(net, net != quiet_);
-  for (NetId reader : fanout_[net]) enqueue_node(reader, reader != quiet_);
+  enqueue_node(net);  // the driver node re-examines its own inputs
+  for (NetId reader : readers(net)) enqueue_node(reader);
 }
 
 void Engine::append_incident_events(NetId node, NetId skip,
@@ -125,33 +160,25 @@ bool Engine::propagate() {
     }
     const NetId node = queue_.back();
     queue_.pop_back();
-    const bool woken = queue_flags_[node] & kWoken;
-    queue_flags_[node] = 0;
-    scratch_.clear();
-    if (!woken || !rule_may_act(ops_, node, domain_)) {
+    queued_[node] = 0;
+    if (!rule_may_act(ops_, node, domain_)) {
       ++num_skipped_wakeups_;
-      if constexpr (kSelfCheckBuild) {
-        node_rules(ops_, node, domain_, scratch_);
-        RTLSAT_ASSERT_MSG(scratch_.empty(),
-                          "propagate: a skipped rule would have narrowed");
-      }
+      if constexpr (kSelfCheckBuild) check_settled(node);
       continue;
     }
     ++num_propagations_;
+    scratch_.clear();
     node_rules(ops_, node, domain_, scratch_);
     quiet_ = rule_is_idempotent(ops_.op(node)) ? node : ir::kNoNet;
     for (const Narrowing& nw : scratch_) {
       if (nw.interval.is_empty()) {
-        conflict_.valid = true;
-        conflict_.kind = ReasonKind::kNode;
-        conflict_.reason_id = node;
+        fail(ReasonKind::kNode, node, {});
         conflict_.net = nw.net;
-        conflict_.antecedents.clear();
         append_incident_events(node, ir::kNoNet, conflict_.antecedents);
         tracer_->record(trace::EventKind::kPropConflict, level_, nw.net,
                         static_cast<std::int64_t>(ReasonKind::kNode));
-        // Drain the queue flags so a later propagate() starts clean.
-        for (NetId q : queue_) queue_flags_[q] = 0;
+        // Drain the queue so a later propagate() starts clean.
+        for (NetId q : queue_) queued_[q] = 0;
         queue_.clear();
         quiet_ = ir::kNoNet;
         return false;
@@ -166,6 +193,10 @@ bool Engine::propagate() {
       record_event(nw.net, next, ReasonKind::kNode, node, ante_begin);
     }
     quiet_ = ir::kNoNet;
+    // An idempotent rule reached its own fixpoint in one run.
+    if constexpr (kSelfCheckBuild) {
+      if (rule_is_idempotent(ops_.op(node))) check_settled(node);
+    }
   }
   return true;
 }
@@ -181,9 +212,9 @@ void Engine::rollback_to(std::size_t mark) {
     latest_[ev.net] = ev.prev_on_net;
     trail_.pop_back();
   }
-  for (NetId q : queue_) queue_flags_[q] = 0;
+  for (NetId q : queue_) queued_[q] = 0;
   queue_.clear();
-  conflict_ = Conflict{};
+  clear_conflict();
 }
 
 void Engine::backtrack_to_level(std::uint32_t level) {

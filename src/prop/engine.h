@@ -8,14 +8,15 @@
 // the rule). The trail is exactly the hybrid implication graph IG(N,E):
 // nodes are events, edges run from antecedent to consequence.
 //
-// A narrowing queues the net's driver and every reader. A queued node runs
-// its rule only when it is *woken* (Schulte & Stuckey's propagator wake
-// conditions): its own narrowings do not wake an idempotent rule (and, or,
-// not, xor, zext), and a mux or comparator whose exact state predicate
-// (rule_may_act) says it would emit nothing is skipped too. Skipped calls
-// emit nothing by construction, so the queue order, the trail and every
-// antecedent are those of running every queued rule; self-check builds run
-// each skipped rule anyway and abort if it would have narrowed.
+// A narrowing offers the net's driver and every reader to the queue, which
+// checks each node's wake condition at push time (Schulte & Stuckey's
+// propagator wake conditions): an idempotent rule (and, or, not, xor, zext)
+// is never queued by its own narrowings, and a node whose exact state
+// predicate (rule_may_act) says its rule would emit nothing is refused. A
+// pop checks the predicate again, because later narrowings may have
+// settled the node while it waited; such a pop runs no rule. The queue is
+// a LIFO stack. Self-check builds run the rule of every refused or skipped
+// node and abort if it would have narrowed.
 //
 // Narrowings are monotonic (intervals only shrink) so the fixpoint
 // terminates on the finite circuit domains, and the trail supports
@@ -104,9 +105,11 @@ class Engine {
 
   // The nodes that read `net`, ascending, one entry per operand slot (a
   // node reading `net` twice is listed twice): ir::fanouts, kept current
-  // by sync_circuit(). Its size is the net's fanout count.
-  const std::vector<ir::NetId>& readers(ir::NetId net) const {
-    return fanout_[net];
+  // by sync_circuit() in one flat reader index. Its size is the net's
+  // fanout count; the span is valid until the next sync_circuit().
+  std::span<const ir::NetId> readers(ir::NetId net) const {
+    const ReaderSlice& s = reader_slice_[net];
+    return {reader_arena_.data() + s.begin, s.size};
   }
 
   // Re-queues every node for examination. Needed when a previous
@@ -127,13 +130,22 @@ class Engine {
 
   bool in_conflict() const { return conflict_.valid; }
   const Conflict& conflict() const { return conflict_; }
-  void clear_conflict() { conflict_ = Conflict{}; }
-  // Records an externally detected conflict (e.g. an all-false hybrid
+  // Keeps the antecedent buffer for the next conflict: no conflict after
+  // the first few allocates.
+  void clear_conflict() {
+    conflict_.valid = false;
+    conflict_.antecedents.clear();
+  }
+  // Records a conflict with no net of its own (e.g. an all-false hybrid
   // clause, which has no single net to narrow).
-  void fail(Conflict conflict) {
+  void fail(ReasonKind kind, std::uint32_t reason_id,
+            std::span<const std::int32_t> antecedents) {
     RTLSAT_ASSERT(!conflict_.valid);
-    conflict_ = std::move(conflict);
     conflict_.valid = true;
+    conflict_.kind = kind;
+    conflict_.reason_id = reason_id;
+    conflict_.net = ir::kNoNet;
+    conflict_.antecedents.assign(antecedents.begin(), antecedents.end());
   }
 
   const std::vector<Event>& trail() const { return trail_; }
@@ -171,7 +183,8 @@ class Engine {
   bool all_booleans_assigned() const;
 
   // Rule calls that ran, and queued nodes popped without running their
-  // rule because no wake condition held. Their sum is the number of pops.
+  // rule because narrowings after their push settled them. Their sum is
+  // the number of pops; a node refused at push time is never popped.
   std::int64_t num_propagations() const { return num_propagations_; }
   std::int64_t num_skipped_wakeups() const { return num_skipped_wakeups_; }
   std::int64_t num_datapath_narrowings() const {
@@ -213,7 +226,12 @@ class Engine {
   void record_event(ir::NetId net, const Interval& next, ReasonKind kind,
                     std::uint32_t reason_id, std::size_t ante_begin);
   void enqueue_neighbourhood(ir::NetId net);
-  void enqueue_node(ir::NetId node, bool wake);
+  // Queues `node` unless it is queued, is the idempotent node whose
+  // narrowings are being recorded, or its rule cannot act.
+  void enqueue_node(ir::NetId node);
+  // Self-check builds: aborts if the rule of a node that was refused or
+  // skipped would narrow.
+  void check_settled(ir::NetId node) const;
   // Appends to `out` the latest events of all nets incident to `node`
   // (operands + output), optionally skipping `skip`.
   void append_incident_events(ir::NetId node, ir::NetId skip,
@@ -222,19 +240,29 @@ class Engine {
   const ir::Circuit& circuit_;
   OpTable ops_;
   std::vector<Interval> domain_;
-  std::vector<std::vector<ir::NetId>> fanout_;
+  // The reader index: each net's readers are a slice of one arena with
+  // room for `capacity`. sync_circuit() sizes a new net's slice exactly;
+  // when an old net gains a reader, add_reader() appends in place while
+  // the slice has room, else moves it to the arena's end with its capacity
+  // doubled, so growth costs amortized O(1) per appended reader. A net's
+  // abandoned slots (c + 2c + ... + capacity/2) are fewer than its live
+  // ones, so the arena stays under twice the live capacity and is never
+  // compacted.
+  struct ReaderSlice {
+    std::uint32_t begin = 0, size = 0, capacity = 0;
+  };
+  void add_reader(ir::NetId net, ir::NetId reader);
+  std::vector<ReaderSlice> reader_slice_;
+  std::vector<ir::NetId> reader_arena_;
   std::vector<Event> trail_;
   // All events' antecedent lists back to back, in trail order: rollback
   // truncates it with the trail, so recording an event never allocates.
   std::vector<std::int32_t> arena_;
   std::vector<std::int32_t> latest_;
   std::vector<ir::NetId> queue_;
-  // Per node: kQueued while in queue_, plus kWoken once a change since its
-  // last run may make its rule act (never set outside the queue).
-  enum QueueFlag : std::uint8_t { kQueued = 1, kWoken = 2 };
-  std::vector<std::uint8_t> queue_flags_;
+  std::vector<std::uint8_t> queued_;  // per node: 1 while in queue_
   // The idempotent node whose narrowings propagate() is recording: they
-  // queue it without waking it. kNoNet otherwise.
+  // never queue it. kNoNet otherwise.
   ir::NetId quiet_ = ir::kNoNet;
   Conflict conflict_;
   trace::Tracer* tracer_;

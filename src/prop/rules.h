@@ -12,8 +12,9 @@
 //
 // Rules read their node from an OpTable, a flat copy of the circuit's
 // operator nodes, not from ir::Node. rule_may_act() and
-// rule_is_idempotent() are the wake conditions the engine uses to skip
-// rule calls that provably emit nothing (docs/algorithms.md §1).
+// rule_is_idempotent() are the wake conditions the engine checks when it
+// queues a node, so that it queues only nodes whose rule can act
+// (docs/algorithms.md §1).
 #pragma once
 
 #include <cstdint>
@@ -84,7 +85,7 @@ void node_rules(const OpTable& ops, ir::NetId id,
 //     operands violate the asserted order (for x ≤ y: x.hi > y.hi or
 //     x.lo > y.lo) or, for (dis)equality, share a point they must not.
 // False for inputs and constants, which have no rule; true for every other
-// operator. Inline: the engine asks it on every queue pop.
+// operator. Inline: the engine asks it on every queue push and pop.
 bool mux_may_act(const OpTable& ops, ir::NetId id,
                  const std::vector<Interval>& domain);
 bool cmp_may_act(const OpTable& ops, ir::NetId id,

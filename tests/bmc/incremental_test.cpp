@@ -10,6 +10,7 @@
 #include "bmc/incremental.h"
 #include "bmc/sweep.h"
 #include "bmc/unroll.h"
+#include "ir/analysis.h"
 #include "itc99/itc99.h"
 #include "trace/trace.h"
 #include "util/timer.h"
@@ -112,10 +113,28 @@ TEST(IncrementalBmc, PinnedCountsUnchanged) {
   }
   EXPECT_EQ(inc.solver().stats().get("hdpll.decisions"), 43);
   EXPECT_EQ(inc.solver().stats().get("hdpll.conflicts"), 103);
-  // Queue pops: rule calls that ran plus those wake conditions skipped.
+  // Queue pops: rule calls that ran plus pops that found their node
+  // settled.
   EXPECT_EQ(inc.solver().engine().num_propagations() +
                 inc.solver().engine().num_skipped_wakeups(),
-            682827);
+            304366);
+}
+
+// Deep growth: the engine's reader index, extended frame by frame over
+// 100 bounds of b13, equals a rebuild (ir::fanouts) every 10 bounds.
+TEST(IncrementalBmc, ReaderIndexMatchesFanoutsWhenDeep) {
+  const ir::SeqCircuit seq = itc99::build("b13");
+  IncrementalBmc inc(seq, "1", solver_options());
+  for (int bound = 1; bound <= 100; ++bound) {
+    inc.solve_bound(bound);
+    if (bound % 10 != 0) continue;
+    const auto fanouts = ir::fanouts(inc.circuit());
+    const prop::Engine& engine = inc.solver().engine();
+    for (ir::NetId id = 0; id < inc.circuit().num_nets(); ++id) {
+      ASSERT_TRUE(std::ranges::equal(engine.readers(id), fanouts[id]))
+          << "bound " << bound << ", net " << id;
+    }
+  }
 }
 
 // A traced sweep sees its unrolling: each growth step records one kUnroll

@@ -210,10 +210,7 @@ struct MinimizeFixture {
   AnalysisResult conflict_at_level_2(std::vector<std::int32_t> events) {
     engine.push_level();
     events.push_back(decide(r, Interval::point(1)));
-    prop::Conflict conflict;
-    conflict.kind = prop::ReasonKind::kClause;
-    conflict.antecedents = std::move(events);
-    engine.fail(std::move(conflict));
+    engine.fail(prop::ReasonKind::kClause, 0, events);
     return ConflictAnalyzer().analyze(engine, {.record_premises = true});
   }
 };
