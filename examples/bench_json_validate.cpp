@@ -3,7 +3,7 @@
 // parses back and carries the documented fields (docs/observability.md).
 //
 //   $ ./bench_json_validate bench  BENCH_table1.json   # bench --json output
-//   $ ./bench_json_validate race   race.json           # solver_race --json
+//   $ ./bench_json_validate race   race.json           # rtlsat race --json
 //   $ ./bench_json_validate chrome out.trace.json      # Chrome trace_event
 //   $ ./bench_json_validate jsonl  out.jsonl           # tracer JSONL lines
 //   $ ./bench_json_validate timeseries ts.jsonl        # sampler time series
@@ -169,7 +169,7 @@ bool validate_bench(const std::string& text) {
   return true;
 }
 
-// solver_race --json: {instance, verdict, winner, seconds,
+// rtlsat race --json: {instance, verdict, winner, seconds,
 //  crosscheck_violations, workers: [...], counters: {...}}
 bool validate_race(const std::string& text) {
   JsonValue doc;

@@ -117,8 +117,9 @@ struct HdpllOptions {
   // per-learned-clause LBD into these registry handles at conflict
   // boundaries (relaxed atomic stores — a background Sampler turns them
   // into a JSONL time series). Borrowed; must outlive the solver. Null
-  // (the default) costs one predicted branch per conflict
-  // (bench/micro_metrics.cpp guards this).
+  // (the default) costs one predicted branch per conflict, and publishing
+  // changes no search counter
+  // (ZeroDrift.GaugesAndLiveSamplerDoNotChangeTheSearch).
   metrics::SolverGauges* gauges = nullptr;
 
   // Proof logging: when set, every derivation — level-0 narrowings,

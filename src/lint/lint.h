@@ -10,7 +10,7 @@
 // properties.
 //
 // Reporters for the resulting LintReport live in lint/report.h; the
-// command-line front-end is examples/rtlsat_lint.cpp.
+// command-line front-end is `rtlsat lint` (examples/rtlsat/tools.cpp).
 #pragma once
 
 #include <string>

@@ -6,7 +6,8 @@
 // rtlsat-serve /metrics endpoint scrape while the search is running.
 // Solvers publish into registry handles at conflict boundaries with relaxed
 // atomic stores, so the hot path never takes a lock and a disabled registry
-// costs a single null-pointer branch (bench/micro_metrics.cpp guards this).
+// costs a single null-pointer branch (publishing changes no search counter:
+// ZeroDrift.GaugesAndLiveSamplerDoNotChangeTheSearch).
 //
 // Three instrument kinds:
 //   Counter   — monotone, incremented from many threads; per-thread sharded

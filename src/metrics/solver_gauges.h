@@ -2,7 +2,9 @@
 // once from a MetricsRegistry at setup (make_solver_gauges) and stored as a
 // nullable pointer in HdpllOptions/SolverOptions. Publishing happens at
 // conflict boundaries with relaxed atomic stores; with a null pointer the
-// whole feature is one branch (micro_metrics guards the overhead).
+// whole feature is one branch
+// (ZeroDrift.GaugesAndLiveSamplerDoNotChangeTheSearch shows publishing
+// changes no search counter).
 //
 // The same struct serves HDPLL and the bit-blasted CDCL solver — labels
 // (worker id, configuration name) distinguish instances, e.g.

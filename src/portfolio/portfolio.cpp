@@ -194,8 +194,8 @@ PortfolioResult Portfolio::solve(
   ClausePool* pool = options_.pool != nullptr ? options_.pool : &local_pool;
   // With a race-local pool, sharing needs at least two HDPLL workers;
   // otherwise skip the endpoints entirely so a 1-worker portfolio matches a
-  // direct solve (the bench/micro_portfolio overhead guard). An external
-  // cross-job pool shares regardless — the peers are other jobs.
+  // direct solve (PortfolioTest.OneWorkerPortfolioMatchesDirectSolve). An
+  // external cross-job pool shares regardless — the peers are other jobs.
   const int hdpll_workers = static_cast<int>(
       std::count_if(lineup_.begin(), lineup_.end(),
                     [](const WorkerConfig& w) { return !w.bitblast; }));

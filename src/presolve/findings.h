@@ -1,5 +1,5 @@
 // Structured findings derived from a fact table — the diagnostics face of
-// the analyzer. rtlsat_analyze prints them (text/JSON) and the analyzer-
+// the analyzer. `rtlsat analyze` prints them (text/JSON) and the analyzer-
 // backed lint rules (src/lint) re-emit them as warnings.
 #pragma once
 

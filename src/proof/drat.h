@@ -28,7 +28,6 @@ class DratWriter {
   struct Options {
     bool binary = false;   // binary DRAT instead of text
     bool discard = false;  // count steps/bytes but keep no content
-                           // (bench/micro_proof measures hook cost with it)
   };
 
   DratWriter() = default;

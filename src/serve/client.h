@@ -5,7 +5,7 @@
 // progress frames surfaced through a callback while wait() blocks. A
 // client wanting to cancel a running job does it from a *second*
 // connection (job ids are server-global), which is exactly what
-// `rtlsat_client cancel` does; the blocked wait() then returns the
+// `rtlsat client cancel` does; the blocked wait() then returns the
 // "cancelled" result frame.
 //
 // Every received frame's "seq" is checked against the connection's

@@ -70,7 +70,7 @@ bool parse_request(const std::string& json, Request* out, std::string* error);
 
 // ---- server → client ------------------------------------------------------
 
-// STATS snapshot; also the payload behind `rtlsat_client stats`.
+// STATS snapshot; also the payload behind `rtlsat client stats`.
 struct ServerStats {
   double uptime_seconds = 0;
   std::int64_t connections = 0;     // currently open

@@ -9,7 +9,9 @@
 //
 // Cost model: a disabled tracer is a single predictable branch per hook
 // (`if (!enabled_) return;`), so the default build pays nothing measurable
-// on the hot paths (bench/micro_stats.cpp guards this). An enabled tracer
+// on the hot paths (rtlbench's trace.overhead_ratio prices the enabled
+// one; ZeroDrift.EnabledTracerDoesNotChangeTheSearch shows it changes no
+// search counter). An enabled tracer
 // pays one timestamp read plus a ring-buffer store per event, amortising
 // file I/O over `ring_capacity` events.
 //

@@ -7,7 +7,7 @@
 // histogram(name) a stable Histogram&) — resolve the handle ONCE at
 // construction time and increment through the reference. Calling
 // add(name, 1) per event costs a string hash + map walk and is reserved
-// for cold paths. bench/micro_stats.cpp measures the difference.
+// for cold paths.
 #pragma once
 
 #include <algorithm>

@@ -237,9 +237,11 @@ TEST(ServerTest, CancelFromSecondConnectionStopsRunningJob) {
   options.max_budget_seconds = 60;
   Harness h(options);
   // An instance the solver needs many seconds for, so cancellation — not
-  // completion — ends it.
-  bmc::BmcInstance hard = bmc::unroll(itc99::build("b13"), "1", 200);
-  hard.circuit.set_name("b13_1_k200");
+  // completion — ends it. (b13_1(200), used before, now solves in about
+  // 0.3 s with one HDPLL+S+P worker and raced the cancel; b13_5(300) takes
+  // about 5 s on a 4-thread x86 container.)
+  bmc::BmcInstance hard = bmc::unroll(itc99::build("b13"), "5", 300);
+  hard.circuit.set_name("b13_5_k300");
   SolveRequest request;
   request.rtl = parser::write_circuit(hard.circuit);
   request.goal = hard.circuit.net_name(hard.goal);
