@@ -5,8 +5,9 @@
 //   $ ./bench_json_validate bench  BENCH_table1.json   # bench --json output
 //   $ ./bench_json_validate race   race.json           # rtlsat race --json
 //   $ ./bench_json_validate chrome out.trace.json      # Chrome trace_event
-//   $ ./bench_json_validate jsonl  out.jsonl           # tracer JSONL lines
-//   $ ./bench_json_validate timeseries ts.jsonl        # sampler time series
+//   $ ./bench_json_validate jsonl  out.jsonl           # tracer events or
+//                                                     # solver heartbeats
+//   $ ./bench_json_validate timeseries ts.jsonl        # serve sampler series
 //   $ ./bench_json_validate loadgen loadgen.json       # serve loadgen --json
 //   $ ./bench_json_validate counters a.json b.json     # two bench --json
 //                              # files must have identical solver counters
@@ -218,11 +219,12 @@ bool validate_chrome(const std::string& text) {
 }
 
 // One JSON object per line, each with t_us/kind (trace events) or
-// t_seconds/conflicts (progress heartbeats). Heartbeats come in two
-// accepted forms: the pre-versioning shape (no "v") and the versioned
-// shape, which must carry v == 1 and a numeric, per-stream non-decreasing
-// sequence number "seq" (streams are keyed by the optional "worker" label —
-// the serve wire protocol relies on both fields to detect dropped lines).
+// conflicts (progress heartbeats). A heartbeat must carry v == 2, a
+// numeric per-stream increasing sequence number "seq" (streams are keyed by
+// the optional "worker" label — the serve wire protocol relies on both
+// fields to detect dropped lines; seq 0 starts a new stream under the same
+// label, as each race of `table2 --jobs` does) and the schema's numeric
+// counter, byte and rss fields.
 bool validate_jsonl(const std::string& text) {
   std::istringstream lines(text);
   std::string line;
@@ -248,23 +250,25 @@ bool validate_jsonl(const std::string& text) {
       if (!require_string(doc, "kind", where)) return false;
       if (!require_number(doc, "level", where)) return false;
     } else {
-      if (!require_number(doc, "conflicts", where)) return false;
-      if (!require_number(doc, "decisions", where)) return false;
       const JsonValue* version = doc.find("v");
-      if (version != nullptr) {
-        if (!version->is_number() || version->number != 1)
-          return fail(where + ": unsupported heartbeat schema version");
-        if (!require_number(doc, "seq", where)) return false;
-        const JsonValue* worker = doc.find("worker");
-        const std::string stream =
-            worker != nullptr && worker->is_string() ? worker->string : "";
-        const double seq = doc.find("seq")->number;
-        const auto it = last_seq.find(stream);
-        if (it != last_seq.end() && seq <= it->second)
-          return fail(where + ": heartbeat seq did not advance for stream '" +
-                      stream + "'");
-        last_seq[stream] = seq;
+      if (version == nullptr || !version->is_number() || version->number != 2)
+        return fail(where + ": heartbeat schema version is not 2");
+      for (const char* field :
+           {"seq", "t_s", "conflicts", "decisions", "propagations", "learnt",
+            "restarts", "trail", "level", "clauses_exported",
+            "clauses_imported", "clause_db_bytes", "implication_graph_bytes",
+            "interval_store_bytes", "rss_kb"}) {
+        if (!require_number(doc, field, where)) return false;
       }
+      const JsonValue* worker = doc.find("worker");
+      const std::string stream =
+          worker != nullptr && worker->is_string() ? worker->string : "";
+      const double seq = doc.find("seq")->number;
+      const auto it = last_seq.find(stream);
+      if (it != last_seq.end() && seq != 0 && seq <= it->second)
+        return fail(where + ": heartbeat seq did not advance for stream '" +
+                    stream + "'");
+      last_seq[stream] = seq;
     }
     ++count;
   }

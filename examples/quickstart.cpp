@@ -4,8 +4,8 @@
 //   $ ./quickstart
 //   $ ./quickstart --trace out       # writes out.jsonl + out.trace.json
 //   $ ./quickstart --progress        # MiniSat-style progress banner
-//   $ ./quickstart --metrics ts.jsonl [--sample-ms N]
-//                                    # live-telemetry time series
+//   $ ./quickstart --metrics hb.jsonl [--sample-ms N]
+//                                    # JSONL heartbeats every N ms
 //
 // The circuit is a saturating accumulator step: out = min(acc + in, 200).
 // We ask: can the output land exactly on the saturation boundary while the
@@ -18,9 +18,6 @@
 #include <string>
 
 #include "core/hdpll.h"
-#include "metrics/metrics.h"
-#include "metrics/sampler.h"
-#include "metrics/solver_gauges.h"
 #include "trace/progress.h"
 #include "trace/sink.h"
 #include "trace/trace.h"
@@ -29,7 +26,7 @@ using namespace rtlsat;
 
 int main(int argc, char** argv) {
   std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<trace::ProgressReporter> progress;
+  bool banner = false;
   std::string metrics_path;
   int sample_ms = 100;
   for (int i = 1; i < argc; ++i) {
@@ -39,7 +36,7 @@ int main(int argc, char** argv) {
       topts.chrome_path = std::string(argv[i]) + ".trace.json";
       tracer = std::make_unique<trace::Tracer>(topts);
     } else if (std::strcmp(argv[i], "--progress") == 0) {
-      progress = std::make_unique<trace::ProgressReporter>();
+      banner = true;
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--sample-ms") == 0 && i + 1 < argc) {
@@ -53,18 +50,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  metrics::MetricsRegistry registry;
-  metrics::SolverGauges gauges;
+  // One reporter drives both the banner and the heartbeat file.
   std::unique_ptr<trace::JsonlSink> metrics_sink;
-  std::unique_ptr<metrics::Sampler> sampler;
-  if (!metrics_path.empty()) {
+  std::unique_ptr<trace::ProgressReporter> progress;
+  if (!metrics_path.empty())
     metrics_sink = std::make_unique<trace::JsonlSink>(metrics_path);
-    gauges = metrics::make_solver_gauges(&registry, {{"solver", "hdpll"}});
-    metrics::SamplerOptions sampler_options;
-    sampler_options.sink = metrics_sink.get();
-    sampler_options.interval_seconds = std::max(sample_ms, 1) / 1000.0;
-    sampler = std::make_unique<metrics::Sampler>(&registry, sampler_options);
-    sampler->start();
+  if (banner || metrics_sink != nullptr) {
+    trace::ProgressOptions progress_options;
+    progress_options.banner = banner;
+    progress_options.sink = metrics_sink.get();
+    progress_options.label = "hdpll";
+    if (metrics_sink != nullptr)
+      progress_options.interval_seconds = std::max(sample_ms, 1) / 1000.0;
+    progress = std::make_unique<trace::ProgressReporter>(progress_options);
   }
 
   ir::Circuit c("quickstart");
@@ -84,15 +82,13 @@ int main(int argc, char** argv) {
   options.structural_decisions = true;  // the paper's +S strategy
   options.tracer = tracer.get();
   options.progress = progress.get();
-  if (sampler != nullptr) options.gauges = &gauges;
   core::HdpllSolver solver(c, options);
   solver.assume_bool(goal, true);
 
   const core::SolveResult result = solver.solve();
-  if (sampler != nullptr) {
-    sampler->stop();
-    std::printf("metrics: %lld samples -> %s\n",
-                static_cast<long long>(sampler->samples()),
+  if (metrics_sink != nullptr) {
+    std::printf("metrics: %lld heartbeats -> %s\n",
+                static_cast<long long>(metrics_sink->lines_written()),
                 metrics_path.c_str());
   }
   switch (result.status) {

@@ -9,6 +9,7 @@
 
 #include "itc99/itc99.h"
 #include "parser/rtl_format.h"
+#include "portfolio/portfolio.h"
 #include "util/strings.h"
 #include "verilog/verilog.h"
 
@@ -135,27 +136,21 @@ ProofCapture ProofCapture::from_env() {
   return proof;
 }
 
-Telemetry::Telemetry(const std::string& path, double sample_ms) {
+Telemetry::Telemetry(const std::string& path, double sample_ms)
+    : interval_seconds_(std::max(sample_ms, 1.0) / 1000.0) {
   if (path.empty()) return;
   sink_ = std::make_unique<trace::JsonlSink>(path);
-  metrics::SamplerOptions options;
+  trace::ProgressOptions options;
+  options.banner = false;
+  options.interval_seconds = interval_seconds_;
   options.sink = sink_.get();
-  options.interval_seconds = std::max(sample_ms, 1.0) / 1000.0;
-  sampler_ = std::make_unique<metrics::Sampler>(&registry_, options);
-  sampler_->start();
+  options.label = "hdpll";
+  progress_ = std::make_unique<trace::ProgressReporter>(options);
 }
 
-metrics::SolverGauges* Telemetry::gauges() {
-  if (sampler_ == nullptr) return nullptr;
-  if (!gauges_)
-    gauges_ = metrics::make_solver_gauges(&registry_, {{"solver", "hdpll"}});
-  return &*gauges_;
-}
-
-std::int64_t Telemetry::stop() {
-  if (sampler_ == nullptr) return 0;
-  sampler_->stop();
-  return sampler_->samples();
+void Telemetry::attach(portfolio::PortfolioOptions* options) const {
+  options->progress_sink = sink_.get();
+  options->progress_interval_seconds = interval_seconds_;
 }
 
 }  // namespace rtlsat::cli

@@ -13,9 +13,12 @@
 
 #include "bmc/unroll.h"
 #include "core/hdpll.h"
-#include "metrics/sampler.h"
-#include "metrics/solver_gauges.h"
+#include "trace/progress.h"
 #include "trace/sink.h"
+
+namespace rtlsat::portfolio {
+struct PortfolioOptions;
+}  // namespace rtlsat::portfolio
 
 namespace rtlsat::cli {
 
@@ -79,28 +82,26 @@ struct ProofCapture {
   static ProofCapture from_env();
 };
 
-// Live telemetry behind --metrics/--sample-ms: a registry sampled into a
-// JSONL time series. With an empty path every accessor returns null.
+// Live telemetry behind --metrics P --sample-ms N: solver heartbeats
+// (docs/observability.md "Progress reporting") written to one JSONL file
+// at most every N ms per solver. Sequential solves share one reporter
+// labeled "hdpll"; portfolio workers write into the same sink under their
+// own "<index>:<config>" labels. With an empty path both are null.
 class Telemetry {
  public:
   Telemetry(const std::string& path, double sample_ms);
-  ~Telemetry() { stop(); }
-  Telemetry(const Telemetry&) = delete;
-  Telemetry& operator=(const Telemetry&) = delete;
 
-  metrics::MetricsRegistry* registry() {
-    return sampler_ != nullptr ? &registry_ : nullptr;
+  trace::ProgressReporter* progress() { return progress_.get(); }
+  // Points a portfolio's per-worker heartbeats at the same file.
+  void attach(portfolio::PortfolioOptions* options) const;
+  std::int64_t lines() const {
+    return sink_ != nullptr ? sink_->lines_written() : 0;
   }
-  // The {solver="hdpll"} gauge family, registered on first use.
-  metrics::SolverGauges* gauges();
-  // Takes the final sample and joins the thread; returns the sample count.
-  std::int64_t stop();
 
  private:
-  metrics::MetricsRegistry registry_;
+  double interval_seconds_;
   std::unique_ptr<trace::JsonlSink> sink_;
-  std::unique_ptr<metrics::Sampler> sampler_;
-  std::optional<metrics::SolverGauges> gauges_;
+  std::unique_ptr<trace::ProgressReporter> progress_;
 };
 
 int cmd_solve(Args& args);

@@ -28,8 +28,7 @@ const Command kCommands[] = {
     {"bmc", cmd_bmc, "[model] [property] [bound] [base|s|sp]"},
     {"race", cmd_race,
      "[model] [property] [bound] [--jobs N] [--no-share] [--deterministic] "
-     "[--sequential] [--budget S] [--json P] [--metrics P] [--sample-ms N] "
-     "[--progress P]"},
+     "[--sequential] [--budget S] [--json P] [--metrics P] [--sample-ms N]"},
     {"analyze", cmd_analyze, "[--json] [--facts] <target>..."},
     {"lint", cmd_lint, "[--json] [--errors-only] <target>... | --list-rules"},
     {"fuzz", cmd_fuzz,

@@ -9,7 +9,6 @@
 #include "bitblast/bitblast.h"
 #include "cli.h"
 #include "itc99/itc99.h"
-#include "metrics/memory.h"
 #include "portfolio/portfolio.h"
 #include "presolve/simplify.h"
 #include "proof/drat.h"
@@ -17,6 +16,7 @@
 #include "proof/word_check.h"
 #include "proof/word_writer.h"
 #include "trace/json.h"
+#include "trace/memory.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -262,7 +262,7 @@ class BenchJson {
   bool close(std::int64_t metrics_samples) {
     if (path_.empty()) return true;
     w_.end_array();
-    const metrics::ProcMemory mem = metrics::read_proc_memory();
+    const trace::ProcMemory mem = trace::read_proc_memory();
     w_.key("rss_peak_kb").value(mem.ok ? mem.rss_peak_kb : 0);
     w_.key("metrics_samples").value(metrics_samples);
     w_.end_object();
@@ -301,12 +301,12 @@ struct Paper {
 
   core::HdpllOptions options(Config config, int learn_threshold) {
     core::HdpllOptions o = make_options(config, timeout, learn_threshold);
-    o.gauges = telemetry ? telemetry->gauges() : nullptr;
+    o.progress = telemetry ? telemetry->progress() : nullptr;
     return o;
   }
   // Writes the JSON document; the exit code.
   int finish() {
-    return json.close(telemetry ? telemetry->stop() : 0) ? 0 : 1;
+    return json.close(telemetry ? telemetry->lines() : 0) ? 0 : 1;
   }
 
   bool full = false;
@@ -450,7 +450,7 @@ void table2_row(Paper& p, const bmc::BmcInstance& instance,
     options.jobs = p.jobs;
     options.share_clauses = p.share;
     options.budget_seconds = p.timeout;
-    options.metrics = p.telemetry ? p.telemetry->registry() : nullptr;
+    if (p.telemetry) p.telemetry->attach(&options);
     portfolio::PortfolioResult detail;
     const RunResult race = run_portfolio(instance, options, &detail);
     p.json.add_portfolio_row(instance.name, race, detail);
@@ -535,7 +535,6 @@ int cmd_race(Args& args) {
   const std::string json_path = args.text("--json", "");
   const std::string metrics_path = args.text("--metrics", "");
   const auto sample_ms = args.integer("--sample-ms", 100, 0);
-  const std::string progress_path = args.text("--progress", "");
   const std::vector<std::string> pos = args.rest(3);
   const auto arg = [&](std::size_t i, const char* fallback) {
     return pos.size() > i ? pos[i] : std::string(fallback);
@@ -548,6 +547,7 @@ int cmd_race(Args& args) {
               counts.arith, counts.boolean);
   if (sequential) {
     Paper row(options.budget_seconds);
+    row.telemetry.emplace(metrics_path, static_cast<double>(sample_ms));
     const double no_paper[3] = {kNone, kNone, kNone};
     table2_header(false);
     table2_row(row, instance, no_paper);
@@ -555,17 +555,12 @@ int cmd_race(Args& args) {
   }
 
   Telemetry telemetry(metrics_path, static_cast<double>(sample_ms));
-  options.metrics = telemetry.registry();
-  std::unique_ptr<trace::JsonlSink> progress_sink;
-  if (!progress_path.empty()) {
-    progress_sink = std::make_unique<trace::JsonlSink>(progress_path);
-    options.progress_sink = progress_sink.get();
-  }
+  telemetry.attach(&options);
   portfolio::PortfolioResult result;
   const RunResult run = run_portfolio(instance, options, &result);
   if (!metrics_path.empty()) {
-    std::printf("metrics: %lld samples -> %s\n",
-                static_cast<long long>(telemetry.stop()),
+    std::printf("metrics: %lld heartbeats -> %s\n",
+                static_cast<long long>(telemetry.lines()),
                 metrics_path.c_str());
   }
   std::printf("portfolio: %d workers%s%s\n", options.jobs,

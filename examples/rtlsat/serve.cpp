@@ -1,5 +1,6 @@
 // rtlsat serve / rtlsat client: the solve service and its command-line
 // client (docs/serve.md).
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -7,6 +8,7 @@
 #include <thread>
 
 #include "cli.h"
+#include "metrics/sampler.h"
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -47,9 +49,21 @@ int cmd_serve(Args& args) {
   sigaddset(&drain_set, SIGINT);
   pthread_sigmask(SIG_BLOCK, &drain_set, nullptr);
 
-  Telemetry telemetry(
-      metrics_base.empty() ? "" : metrics_base + ".metrics.jsonl", sample_ms);
-  options.metrics = telemetry.registry();
+  // --metrics BASE: the serve.* gauges and the process line, sampled into
+  // <BASE>.metrics.jsonl. Per-job solver state travels as progress frames.
+  metrics::MetricsRegistry registry;
+  std::unique_ptr<trace::JsonlSink> metrics_sink;
+  std::unique_ptr<metrics::Sampler> sampler;
+  if (!metrics_base.empty()) {
+    metrics_sink =
+        std::make_unique<trace::JsonlSink>(metrics_base + ".metrics.jsonl");
+    metrics::SamplerOptions sampler_options;
+    sampler_options.sink = metrics_sink.get();
+    sampler_options.interval_seconds = std::max(sample_ms, 1.0) / 1000.0;
+    sampler = std::make_unique<metrics::Sampler>(&registry, sampler_options);
+    sampler->start();
+    options.metrics = &registry;
+  }
   serve::Server server(options);
   std::string error;
   if (!server.start(&error)) {
@@ -80,7 +94,7 @@ int cmd_serve(Args& args) {
   }).detach();
 
   server.wait();
-  telemetry.stop();
+  if (sampler != nullptr) sampler->stop();
   const serve::ServerStats stats = server.snapshot();
   std::fprintf(stderr,
                "served %lld jobs in %.1fs (%.2f jobs/s, cache hit ratio "

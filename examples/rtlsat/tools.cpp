@@ -137,7 +137,8 @@ std::vector<std::string> targets(Args& args) {
 
 // lint [--json] [--errors-only] <target>...  |  lint --list-rules
 // Exit 0 with no error diagnostics, 1 with some. --errors-only hides the
-// warnings and says how many it hid on each summary line.
+// warnings and says how many it hid on each text summary line; the JSON
+// counts always cover every diagnostic.
 int cmd_lint(Args& args) {
   const bool json = args.flag("--json");
   const bool errors_only = args.flag("--errors-only");
@@ -157,16 +158,21 @@ int cmd_lint(Args& args) {
     const ir::SeqCircuit seq = load_model(target);
     lint::LintReport report = lint::lint_seq_circuit(seq, {});
     any_errors = any_errors || report.has_errors();
+    if (json) {
+      std::fputs(
+          lint::to_json(report, seq.comb(), target, errors_only).c_str(),
+          stdout);
+      continue;
+    }
     const std::size_t found = report.diagnostics.size();
     if (errors_only) {
       std::erase_if(report.diagnostics, [](const lint::Diagnostic& d) {
         return d.severity != lint::Severity::kError;
       });
     }
-    std::string text = json ? lint::to_json(report, seq.comb(), target)
-                            : lint::to_text(report, seq.comb(), target);
+    std::string text = lint::to_text(report, seq.comb(), target);
     if (const std::size_t hidden = found - report.diagnostics.size();
-        hidden > 0 && !json) {
+        hidden > 0) {
       text.pop_back();  // the summary line's newline
       text += " (" + std::to_string(hidden) + " hidden by --errors-only)\n";
     }

@@ -115,7 +115,7 @@ class ClauseDb {
   // the solver decays the increment once per conflict (EVSIDS-style).
   void decay_clause_activity(double factor) { activity_increment_ /= factor; }
 
-  // Heap held by the clauses (O(1) read, for the metrics sampler): the
+  // Heap held by the clauses (O(1) read, for the progress heartbeat): the
   // literal arena's capacity plus the clause headers. The watch lists are
   // deliberately excluded — they are index vectors proportional to the
   // clause count and would double-count the trend without changing its

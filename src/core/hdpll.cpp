@@ -4,7 +4,6 @@
 
 #include "core/deduce.h"
 #include "core/selfcheck.h"
-#include "metrics/solver_gauges.h"
 #include "trace/progress.h"
 #include "trace/trace.h"
 #include "util/log.h"
@@ -54,8 +53,7 @@ HdpllSolver::HdpllSolver(const ir::Circuit& circuit, HdpllOptions options)
       h_resolutions_(stats_.histogram("hdpll.analyze_resolutions")),
       h_interval_width_(stats_.histogram("hdpll.arith_interval_width")),
       tracer_(options.tracer != nullptr ? options.tracer : &trace::global()),
-      progress_(options.progress),
-      gauges_(options.gauges) {
+      progress_(options.progress) {
   engine_.set_tracer(tracer_);
   engine_.set_stop(&stop_);
   if (options_.structural_decisions)
@@ -156,7 +154,7 @@ void HdpllSolver::on_clause_learned(const HybridClause& clause) {
 }
 
 void HdpllSolver::progress_tick(bool final) {
-  if (progress_ == nullptr) return;
+  if (progress_ == nullptr || (!final && !progress_->due())) return;
   trace::ProgressSnapshot s;
   s.conflicts = n_conflicts_;
   s.decisions = n_decisions_;
@@ -165,42 +163,16 @@ void HdpllSolver::progress_tick(bool final) {
   s.restarts = restart_count_;
   s.trail = static_cast<std::int64_t>(engine_.trail().size());
   s.level = engine_.level();
+  s.clauses_exported = n_clauses_exported_;
+  s.clauses_imported = n_clauses_imported_;
+  s.clause_db_bytes = db_.memory_bytes();
+  s.implication_graph_bytes = engine_.implication_graph_bytes();
+  s.interval_store_bytes = engine_.interval_store_bytes();
   if (final) {
     progress_->finish(s);
   } else {
-    progress_->tick(s);
+    progress_->report(s);
   }
-}
-
-void HdpllSolver::publish_metrics() {
-  metrics::SolverGauges* g = gauges_;
-  if (g == nullptr) return;
-  g->decisions->set(n_decisions_);
-  g->conflicts->set(n_conflicts_);
-  g->propagations->set(engine_.num_propagations());
-  g->restarts->set(restart_count_);
-  g->clauses_exported->set(n_clauses_exported_);
-  g->clauses_imported->set(n_clauses_imported_);
-  g->learnt_clauses->set(static_cast<std::int64_t>(db_.learnt_count()));
-  g->trail->set(static_cast<std::int64_t>(engine_.trail().size()));
-  g->level->set(engine_.level());
-  g->clause_db_bytes->set(db_.memory_bytes());
-  g->implication_graph_bytes->set(engine_.implication_graph_bytes());
-  g->interval_store_bytes->set(engine_.interval_store_bytes());
-}
-
-void HdpllSolver::record_lbd(const HybridClause& clause) {
-  if (gauges_ == nullptr) return;
-  lbd_scratch_.clear();
-  for (const HybridLit& l : clause.lits) {
-    const std::int32_t ev = engine_.latest_event(l.net);
-    lbd_scratch_.push_back(
-        ev >= 0 ? engine_.trail()[static_cast<std::size_t>(ev)].level : 0);
-  }
-  std::sort(lbd_scratch_.begin(), lbd_scratch_.end());
-  const auto last = std::unique(lbd_scratch_.begin(), lbd_scratch_.end());
-  gauges_->lbd->observe(
-      static_cast<std::int64_t>(last - lbd_scratch_.begin()));
 }
 
 SolveStatus HdpllSolver::stopped_status() const {
@@ -246,7 +218,6 @@ bool HdpllSolver::handle_conflict() {
   ++n_conflicts_;
   tracer_->record(trace::EventKind::kConflict, engine_.level());
   progress_tick(/*final=*/false);
-  publish_metrics();
   if (engine_.level() == 0) {
     if (proof_log_ != nullptr) proof_log_->log_conflict0();
     root_unsat_ = true;
@@ -303,7 +274,6 @@ bool HdpllSolver::handle_conflict() {
   h_learned_len_.add(clause_len);
   h_backjump_.add(engine_.level() - analysis.backtrack_level);
   h_resolutions_.add(analysis.resolutions);
-  record_lbd(analysis.clause);
   tracer_->record(trace::EventKind::kAnalyze, engine_.level(),
                   analysis.resolutions, clause_len);
   tracer_->record(trace::EventKind::kLearnedClause, engine_.level(),
@@ -357,11 +327,9 @@ bool HdpllSolver::handle_conflict() {
   return true;
 }
 
-SolveResult HdpllSolver::finish_sat(const ArithCheckResult& arith,
-                                    const Timer& timer) {
+SolveResult HdpllSolver::finish_sat(const ArithCheckResult& arith) {
   SolveResult result;
   result.status = SolveStatus::kSat;
-  result.seconds = timer.seconds();
   for (NetId input : circuit_.inputs())
     result.input_model.emplace(input, arith.values[input]);
   if (options_.verify_models) {
@@ -423,7 +391,9 @@ SolveResult HdpllSolver::solve(
   for ([[maybe_unused]] const auto& [net, interval] : assumptions)
     RTLSAT_ASSERT(!interval.is_empty());
   call_assumptions_ = assumptions;
+  const Timer timer;
   SolveResult result = solve_impl();
+  result.seconds = timer.seconds();
   // The engine's counters are cumulative over calls, like stats_.
   stats_.counter("prop.propagations") = engine_.num_propagations();
   stats_.counter("prop.skipped_wakeups") = engine_.num_skipped_wakeups();
@@ -443,8 +413,6 @@ SolveResult HdpllSolver::solve(
   // never restarts would strand its last few clauses in the endpoint.
   if (options_.exchange != nullptr) options_.exchange->flush();
   progress_tick(/*final=*/true);
-  publish_metrics();
-  if (gauges_ != nullptr) gauges_->set_phase(metrics::SolverPhase::kIdle);
   tracer_->flush();
   return result;
 }
@@ -472,7 +440,6 @@ std::vector<std::string> HdpllSolver::crosscheck_model(
 }
 
 SolveResult HdpllSolver::solve_impl() {
-  Timer timer;
   // One token carries both the external cancel flag and the solver's own
   // deadline; the engine and FME hold &stop_, so this assignment arms them
   // too. (The old code polled a Deadline only between conflicts — a long
@@ -484,7 +451,6 @@ SolveResult HdpllSolver::solve_impl() {
     // The instance itself was refuted on an earlier call; no assumption
     // set can revive it.
     result.status = SolveStatus::kUnsat;
-    result.seconds = timer.seconds();
     return result;
   }
   // Lazily retract the previous call's branch (a kSat return parks at the
@@ -522,22 +488,17 @@ SolveResult HdpllSolver::solve_impl() {
     proof_disarmed_ = true;  // one certificate stream per solver
   }
 
-  if (gauges_ != nullptr) gauges_->set_phase(metrics::SolverPhase::kPreprocess);
   {
     trace::ScopedPhase phase(tracer_, &stats_, "preprocess");
     if (!apply_assumptions()) {
       if (proof_log_ != nullptr) proof_log_->log_conflict0();
       root_unsat_ = true;  // persistent assumptions, level-0 conflict
       result.status = SolveStatus::kUnsat;
-      result.seconds = timer.seconds();
       return result;
     }
   }
 
   if (options_.predicate_learning && !predicates_learned_) {
-    if (gauges_ != nullptr) {
-      gauges_->set_phase(metrics::SolverPhase::kPredicateLearning);
-    }
     trace::ScopedPhase phase(tracer_, &stats_, "predicate_learning");
     PredicateLearningOptions learn_options = options_.learning;
     if (learn_options.tracer == nullptr) learn_options.tracer = tracer_;
@@ -554,7 +515,6 @@ SolveResult HdpllSolver::solve_impl() {
     if (result.learning.proven_unsat) {
       root_unsat_ = true;
       result.status = SolveStatus::kUnsat;
-      result.seconds = timer.seconds();
       return result;
     }
     // §3 relations are consequences of the formula alone — share them all.
@@ -562,7 +522,6 @@ SolveResult HdpllSolver::solve_impl() {
     if (stop_.stop_requested()) {
       clean_exit_ = false;
       result.status = stopped_status();
-      result.seconds = timer.seconds();
       return result;
     }
     // §3 step 5: bias decisions towards nets in learned relations.
@@ -578,13 +537,11 @@ SolveResult HdpllSolver::solve_impl() {
   // deterministic-mode slot) would not import at all.
   import_shared_clauses();
 
-  if (gauges_ != nullptr) gauges_->set_phase(metrics::SolverPhase::kSearch);
   trace::ScopedPhase search_phase(tracer_, &stats_, "search");
   while (true) {
     if (!deduce(engine_, db_, &clause_cursor_)) {
       if (!handle_conflict()) {
         result.status = SolveStatus::kUnsat;
-        result.seconds = timer.seconds();
         return result;
       }
       continue;
@@ -598,7 +555,6 @@ SolveResult HdpllSolver::solve_impl() {
     if (stop_.stop_requested()) {
       clean_exit_ = false;
       result.status = stopped_status();
-      result.seconds = timer.seconds();
       return result;
     }
 
@@ -621,7 +577,6 @@ SolveResult HdpllSolver::solve_impl() {
         decision_stack_.push_back(info);
         if (!handle_conflict()) {
           result.status = SolveStatus::kUnsat;
-          result.seconds = timer.seconds();
           return result;
         }
         continue;
@@ -653,29 +608,22 @@ SolveResult HdpllSolver::solve_impl() {
       ArithCheckResult arith;
       ArithCertCapture arith_capture;
       {
-        if (gauges_ != nullptr) {
-          gauges_->set_phase(metrics::SolverPhase::kArithCheck);
-        }
         trace::ScopedPhase arith_phase(tracer_, &stats_, "arith_check");
         arith = arith_check(engine_, fme_,
                             proof_log_ != nullptr ? &arith_capture : nullptr);
-        if (gauges_ != nullptr) {
-          gauges_->set_phase(metrics::SolverPhase::kSearch);
-        }
       }
       if (arith.stopped) {
         // FME abandoned the check on a fired token — neither a model nor a
         // refutation; learning a decision cut here would be unsound.
         clean_exit_ = false;
         result.status = stopped_status();
-        result.seconds = timer.seconds();
         return result;
       }
       tracer_->record(trace::EventKind::kArithCheck, engine_.level(),
                       arith.sat ? 1 : 0);
       if (arith.sat) {
         const PredicateLearningReport learning = result.learning;
-        result = finish_sat(arith, timer);
+        result = finish_sat(arith);
         result.learning = learning;
         return result;
       }
@@ -684,7 +632,6 @@ SolveResult HdpllSolver::solve_impl() {
         if (proof_log_ != nullptr) proof_log_->log_fme0(arith_capture);
         root_unsat_ = true;
         result.status = SolveStatus::kUnsat;
-        result.seconds = timer.seconds();
         return result;
       }
       if (engine_.level() <= assumption_levels()) {
@@ -698,7 +645,6 @@ SolveResult HdpllSolver::solve_impl() {
           any_event = any_event || info.has_event;
         if (!any_event) root_unsat_ = true;
         result.status = SolveStatus::kUnsat;
-        result.seconds = timer.seconds();
         return result;
       }
       if (options_.conflict_learning) {
@@ -738,7 +684,6 @@ SolveResult HdpllSolver::solve_impl() {
         // engine's conflict record).
         if (!handle_conflict()) {
           result.status = SolveStatus::kUnsat;
-          result.seconds = timer.seconds();
           return result;
         }
       }
@@ -755,7 +700,6 @@ SolveResult HdpllSolver::solve_impl() {
                         prop::ReasonKind::kDecision)) {
       if (!handle_conflict()) {
         result.status = SolveStatus::kUnsat;
-        result.seconds = timer.seconds();
         return result;
       }
     }

@@ -42,10 +42,6 @@ class Tracer;
 class ProgressReporter;
 }  // namespace rtlsat::trace
 
-namespace rtlsat::metrics {
-struct SolverGauges;
-}  // namespace rtlsat::metrics
-
 namespace rtlsat::core {
 
 struct HdpllOptions {
@@ -106,21 +102,12 @@ struct HdpllOptions {
   // Observability (src/trace). `tracer` records structured search events
   // (decisions, conflicts, learned clauses, arith checks, phases …); null
   // ⟹ trace::global(), which stays disabled unless RTLSAT_TRACE is set, so
-  // the default cost is one predicted branch per event. `progress` gets a
-  // tick() per conflict for rate-limited MiniSat-style reporting; null ⟹
+  // the default cost is one predicted branch per event. `progress` is asked
+  // due() per conflict and handed a snapshot (counters, clause sharing,
+  // instrumented heap bytes) when a banner row or heartbeat is due; null ⟹
   // no reporting. Both are borrowed and must outlive the solver.
   trace::Tracer* tracer = nullptr;
   trace::ProgressReporter* progress = nullptr;
-
-  // Live telemetry (src/metrics): when set, the solver publishes its
-  // counters, clause-DB/implication-graph/interval-store bytes, phase, and
-  // per-learned-clause LBD into these registry handles at conflict
-  // boundaries (relaxed atomic stores — a background Sampler turns them
-  // into a JSONL time series). Borrowed; must outlive the solver. Null
-  // (the default) costs one predicted branch per conflict, and publishing
-  // changes no search counter
-  // (ZeroDrift.GaugesAndLiveSamplerDoNotChangeTheSearch).
-  metrics::SolverGauges* gauges = nullptr;
 
   // Proof logging: when set, every derivation — level-0 narrowings,
   // learned clauses with their implication-graph cut, predicate-learning
@@ -242,14 +229,6 @@ class HdpllSolver {
   void import_shared_clauses();
   // Per-conflict progress hook; `final` forces the closing report.
   void progress_tick(bool final);
-  // Publishes the live counters into options_.gauges (no-op when null).
-  void publish_metrics();
-  // LBD (literal block distance) of a freshly learned clause: the number
-  // of distinct decision levels among its literals, read off the trail
-  // before the backtrack invalidates it. Only computed when gauges are
-  // attached; recorded only into the registry histogram so bench output
-  // stays byte-identical with and without sampling.
-  void record_lbd(const HybridClause& clause);
   // Returns the next decision, or nullopt when every Boolean net is
   // assigned (Decide() == done).
   std::optional<Decision> pick_decision();
@@ -259,7 +238,7 @@ class HdpllSolver {
   bool handle_conflict();
   void backtrack_to(std::uint32_t level);
   void on_clause_learned(const HybridClause& clause);
-  SolveResult finish_sat(const ArithCheckResult& arith, const Timer& timer);
+  SolveResult finish_sat(const ArithCheckResult& arith);
 
   const ir::Circuit& circuit_;
   HdpllOptions options_;
@@ -338,8 +317,6 @@ class HdpllSolver {
   Histogram& h_interval_width_;
   trace::Tracer* tracer_;              // never null after construction
   trace::ProgressReporter* progress_;  // may be null
-  metrics::SolverGauges* gauges_;      // may be null
-  std::vector<std::uint32_t> lbd_scratch_;
 };
 
 }  // namespace rtlsat::core

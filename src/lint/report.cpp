@@ -50,7 +50,7 @@ std::string to_text(const LintReport& report, const ir::Circuit& circuit,
 }
 
 std::string to_json(const LintReport& report, const ir::Circuit& circuit,
-                    std::string_view source) {
+                    std::string_view source, bool errors_only) {
   std::ostringstream os;
   os << "{\"source\": ";
   append_json_string(os, source);
@@ -59,6 +59,7 @@ std::string to_json(const LintReport& report, const ir::Circuit& circuit,
      << ", \"diagnostics\": [";
   bool first = true;
   for (const Diagnostic& d : report.diagnostics) {
+    if (errors_only && d.severity != Severity::kError) continue;
     if (!first) os << ", ";
     first = false;
     os << "{\"rule\": ";

@@ -18,7 +18,9 @@ std::string to_text(const LintReport& report, const ir::Circuit& circuit,
 // {"source": ..., "errors": N, "warnings": M, "diagnostics": [
 //    {"rule": ..., "severity": ..., "net": id|null, "net_name": ...,
 //     "message": ...}, ...]}
+// `errors_only` lists only the error diagnostics; the counts still cover
+// the whole report.
 std::string to_json(const LintReport& report, const ir::Circuit& circuit,
-                    std::string_view source);
+                    std::string_view source, bool errors_only = false);
 
 }  // namespace rtlsat::lint

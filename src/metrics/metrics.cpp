@@ -1,22 +1,10 @@
 #include "metrics/metrics.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 #include <sstream>
 
 namespace rtlsat::metrics {
-
-namespace internal {
-
-std::size_t shard_index(std::size_t shards) {
-  static std::atomic<std::size_t> next{0};
-  thread_local std::size_t mine =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return mine % shards;
-}
-
-}  // namespace internal
 
 std::string canonical_labels(const Labels& labels) {
   Labels sorted = labels;
@@ -32,54 +20,19 @@ std::string canonical_labels(const Labels& labels) {
   return out;
 }
 
-MetricsRegistry::Entry& MetricsRegistry::entry(const std::string& name,
-                                               const Labels& labels,
-                                               MetricKind kind) {
+Gauge* MetricsRegistry::gauge(const std::string& name, const Labels& labels,
+                              bool monotone) {
   const std::string source = canonical_labels(labels);
   const std::string key = name + "|" + source;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    if (it->second.kind != kind) {
-      // Same metric identity registered under two kinds: programming error.
-      std::abort();
-    }
-    return it->second;
+  if (it == entries_.end()) {
+    Entry e{name, labels, source, std::make_unique<Gauge>()};
+    it = entries_.emplace(key, std::move(e)).first;
   }
-  Entry e;
-  e.name = name;
-  e.labels = labels;
-  e.source = source;
-  e.kind = kind;
-  switch (kind) {
-    case MetricKind::kCounter:
-      e.counter = std::make_unique<Counter>();
-      break;
-    case MetricKind::kGauge:
-      e.gauge = std::make_unique<Gauge>();
-      break;
-    case MetricKind::kHistogram:
-      e.hist = std::make_unique<HistogramMetric>();
-      break;
-  }
-  return entries_.emplace(key, std::move(e)).first->second;
-}
-
-Counter* MetricsRegistry::counter(const std::string& name,
-                                  const Labels& labels) {
-  return entry(name, labels, MetricKind::kCounter).counter.get();
-}
-
-Gauge* MetricsRegistry::gauge(const std::string& name, const Labels& labels,
-                              bool monotone) {
-  Gauge* g = entry(name, labels, MetricKind::kGauge).gauge.get();
+  Gauge* g = it->second.gauge.get();
   if (monotone) g->monotone_ = true;
   return g;
-}
-
-HistogramMetric* MetricsRegistry::histogram(const std::string& name,
-                                            const Labels& labels) {
-  return entry(name, labels, MetricKind::kHistogram).hist.get();
 }
 
 std::size_t MetricsRegistry::size() const {
@@ -92,25 +45,8 @@ std::vector<MetricsRegistry::Sample> MetricsRegistry::scrape() const {
   std::vector<Sample> out;
   out.reserve(entries_.size());
   for (const auto& [key, e] : entries_) {
-    Sample s;
-    s.name = e.name;
-    s.labels = e.labels;
-    s.source = e.source;
-    s.kind = e.kind;
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        s.monotone = true;
-        s.value = e.counter->value();
-        break;
-      case MetricKind::kGauge:
-        s.monotone = e.gauge->monotone();
-        s.value = e.gauge->value();
-        break;
-      case MetricKind::kHistogram:
-        s.hist = e.hist->snapshot();
-        break;
-    }
-    out.push_back(std::move(s));
+    out.push_back({e.name, e.labels, e.source, e.gauge->monotone(),
+                   e.gauge->value()});
   }
   return out;
 }
@@ -153,13 +89,6 @@ std::string exposition_labels(const Labels& labels) {
   return out;
 }
 
-// Label string with one extra `le` label appended (histogram buckets).
-std::string bucket_labels(const Labels& labels, const std::string& le) {
-  Labels with_le = labels;
-  with_le.push_back({"le", le});
-  return exposition_labels(with_le);
-}
-
 }  // namespace
 
 void MetricsRegistry::expose(std::ostream& out) const {
@@ -168,32 +97,10 @@ void MetricsRegistry::expose(std::ostream& out) const {
   for (const Sample& s : samples) {
     const std::string ename = exposition_name(s.name);
     if (prev_name == nullptr || *prev_name != s.name) {
-      const char* type = s.kind == MetricKind::kHistogram ? "histogram"
-                         : s.kind == MetricKind::kCounter ? "counter"
-                                                          : "gauge";
-      out << "# TYPE " << ename << ' ' << type << '\n';
+      out << "# TYPE " << ename << " gauge\n";
     }
     prev_name = &s.name;
-    if (s.kind != MetricKind::kHistogram) {
-      out << ename << exposition_labels(s.labels) << ' ' << s.value << '\n';
-      continue;
-    }
-    // Cumulative buckets over the power-of-two bounds; only emit bounds up
-    // to the first bucket covering the observed max, then +Inf.
-    std::int64_t cumulative = 0;
-    const int top = Histogram::bucket_index(s.hist.max());
-    for (int i = 0; i <= top; ++i) {
-      cumulative += s.hist.buckets()[static_cast<std::size_t>(i)];
-      out << ename << "_bucket"
-          << bucket_labels(s.labels, std::to_string(Histogram::bucket_hi(i)))
-          << ' ' << cumulative << '\n';
-    }
-    out << ename << "_bucket" << bucket_labels(s.labels, "+Inf") << ' '
-        << s.hist.count() << '\n';
-    out << ename << "_sum" << exposition_labels(s.labels) << ' ' << s.hist.sum()
-        << '\n';
-    out << ename << "_count" << exposition_labels(s.labels) << ' '
-        << s.hist.count() << '\n';
+    out << ename << exposition_labels(s.labels) << ' ' << s.value << '\n';
   }
 }
 

@@ -2,8 +2,8 @@
 
 #include <chrono>
 
-#include "metrics/memory.h"
 #include "trace/json.h"
+#include "trace/memory.h"
 
 namespace rtlsat::metrics {
 
@@ -96,13 +96,6 @@ void Sampler::sample_once(double now) {
         labels_written = true;
         for (const Label& l : s.labels) w.key(l.key).value(l.value);
       }
-      if (s.kind == MetricKind::kHistogram) {
-        w.key(s.name + "_count").value(s.hist.count());
-        w.key(s.name + "_sum").value(s.hist.sum());
-        w.key(s.name + "_mean").value(s.hist.mean());
-        w.key(s.name + "_max").value(s.hist.max());
-        continue;
-      }
       w.key(s.name).value(s.value);
       if (s.monotone) {
         const std::string key = s.name + "|" + s.source;
@@ -121,7 +114,7 @@ void Sampler::sample_once(double now) {
     emit(w.str());
   }
   if (options_.include_process) {
-    const ProcMemory mem = read_proc_memory();
+    const trace::ProcMemory mem = trace::read_proc_memory();
     if (mem.ok) {
       trace::JsonWriter w;
       w.begin_object();

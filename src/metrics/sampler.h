@@ -3,21 +3,18 @@
 // schema"). Each sample emits one line per metric source (canonical label
 // set) plus one "process" line with resident-set memory, e.g.
 //
-//   {"t_s":0.50,"source":"name=HDPLL+S+P,worker=0","name":"HDPLL+S+P",
-//    "worker":"0","solver.decisions":8123,"solver.decisions_per_s":16246.0,
-//    ...,"solver.lbd_count":412,"solver.lbd_mean":3.1}
+//   {"t_s":0.50,"source":"main","serve.queue_depth":2,
+//    "serve.jobs_done":41,"serve.jobs_done_per_s":12.0,...}
 //   {"t_s":0.50,"source":"process","rss_kb":14200,"rss_peak_kb":14800}
 //
-// Monotone metrics (counters and gauges registered monotone) additionally
-// get a `<name>_per_s` rate derived by differencing consecutive samples; a
-// value that moves backwards (a handle reused for a new solve) resets the
-// baseline and reports no rate for that sample.
+// Monotone gauges additionally get a `<name>_per_s` rate derived by
+// differencing consecutive samples; a value that moves backwards (a handle
+// reused for a new run) resets the baseline and reports no rate for that
+// sample.
 //
-// Threading: the sampler only ever *reads* the registry (atomic loads and
-// per-shard histogram locks), so it never perturbs the search — the
-// zero-drift tests in tests/metrics assert exactly that. start()/stop()
-// run a background thread; tick() samples synchronously and is what tests
-// drive with an injected fake clock.
+// Threading: the sampler only ever *reads* the registry (atomic loads).
+// start()/stop() run a background thread; tick() samples synchronously and
+// is what tests drive with an injected fake clock.
 #pragma once
 
 #include <condition_variable>

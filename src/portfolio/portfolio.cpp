@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "bitblast/bitblast.h"
-#include "metrics/solver_gauges.h"
 #include "presolve/simplify.h"
 #include "trace/progress.h"
 #include "trace/sink.h"
@@ -90,10 +89,6 @@ struct WorkerSlot {
   WorkerConfig config;
   std::unique_ptr<PoolExchange> exchange;
   std::unique_ptr<core::HdpllSolver> solver;  // HDPLL workers only
-  // Per-worker telemetry, registered before the race so the sampler sees
-  // every worker from its first scrape (and lifetime safely spans the
-  // post-race cross-check, which still publishes final counters).
-  metrics::SolverGauges gauges;
   std::unique_ptr<trace::ProgressReporter> progress;
   char verdict = '?';
   double seconds = 0;
@@ -208,11 +203,6 @@ PortfolioResult Portfolio::solve(
       slots[i].exchange =
           std::make_unique<PoolExchange>(pool, options_.worker_id_base + i);
     }
-    if (options_.metrics != nullptr) {
-      slots[i].gauges = metrics::make_solver_gauges(
-          options_.metrics,
-          {{"worker", std::to_string(i)}, {"name", lineup_[i].name}});
-    }
     if (options_.progress_sink != nullptr) {
       trace::ProgressOptions progress_options;
       progress_options.banner = false;
@@ -248,7 +238,6 @@ PortfolioResult Portfolio::solve(
       sat_options.stop = token;
       sat_options.self_check = options_.self_check;
       sat_options.tracer = options_.tracer;
-      if (options_.metrics != nullptr) sat_options.gauges = &slot.gauges;
       sat_options.progress = slot.progress.get();
       const bitblast::CheckResult check =
           bitblast::check_sat(circuit_, goal_, goal_value_, sat_options);
@@ -260,7 +249,6 @@ PortfolioResult Portfolio::solve(
       hdpll_options.self_check = options_.self_check;
       hdpll_options.tracer = options_.tracer;
       hdpll_options.exchange = slot.exchange.get();
-      if (options_.metrics != nullptr) hdpll_options.gauges = &slot.gauges;
       hdpll_options.progress = slot.progress.get();
       slot.solver =
           std::make_unique<core::HdpllSolver>(circuit_, hdpll_options);

@@ -37,10 +37,6 @@
 #include "portfolio/clause_pool.h"
 #include "util/stats.h"
 
-namespace rtlsat::metrics {
-class MetricsRegistry;
-}  // namespace rtlsat::metrics
-
 namespace rtlsat::trace {
 class JsonlSink;
 }  // namespace rtlsat::trace
@@ -97,15 +93,10 @@ struct PortfolioOptions {
   // Shared by all workers (trace::Tracer is internally synchronized); null
   // ⟹ trace::global(). Borrowed.
   trace::Tracer* tracer = nullptr;
-  // Live telemetry (src/metrics): when set, every worker registers its own
-  // gauge family in this registry, labeled {worker=<index>, name=<config>},
-  // and publishes counters/memory/LBD at conflict boundaries — a Sampler
-  // scraping the same registry turns the race into per-worker time series.
-  // Borrowed; must outlive solve(). Null = off.
-  metrics::MetricsRegistry* metrics = nullptr;
-  // Per-worker progress heartbeats: when set, each worker drives a
-  // ProgressReporter (no banner) writing "worker"-tagged JSONL lines into
-  // this shared sink. Borrowed; must outlive solve(). Null = off.
+  // Per-worker live telemetry: when set, each worker drives a
+  // ProgressReporter (no banner) writing heartbeats tagged
+  // "worker": "<index>:<config>" into this shared sink every
+  // `progress_interval_seconds`. Borrowed; must outlive solve(). Null = off.
   trace::JsonlSink* progress_sink = nullptr;
   double progress_interval_seconds = 0.5;
 };

@@ -40,7 +40,6 @@ void DratWriter::original(const std::vector<int>& clause) {
     const int var = lit < 0 ? -lit : lit;
     if (var > max_var_) max_var_ = var;
   }
-  if (options_.discard) return;
   append_text_clause(&formula_, clause);
 }
 
@@ -49,12 +48,6 @@ void DratWriter::emit(char tag, const std::vector<int>& clause) {
     const int var = lit < 0 ? -lit : lit;
     if (var > max_var_) max_var_ = var;
   }
-  const std::size_t before = proof_.size();
-  if (options_.discard) {
-    // Approximate the byte cost without retaining content.
-    proof_bytes_ += static_cast<std::int64_t>(clause.size()) * 3 + 2;
-    return;
-  }
   if (options_.binary) {
     proof_.push_back(tag == 'd' ? 'd' : 'a');
     append_binary_clause(&proof_, clause);
@@ -62,7 +55,6 @@ void DratWriter::emit(char tag, const std::vector<int>& clause) {
     if (tag == 'd') proof_ += "d ";
     append_text_clause(&proof_, clause);
   }
-  proof_bytes_ += static_cast<std::int64_t>(proof_.size() - before);
 }
 
 void DratWriter::learned(const std::vector<int>& clause) {
@@ -87,10 +79,6 @@ std::string DratWriter::dimacs() const {
 bool DratWriter::save(const std::string& dimacs_path,
                       const std::string& proof_path,
                       std::string* error) const {
-  if (options_.discard) {
-    if (error != nullptr) *error = "writer is in discard mode";
-    return false;
-  }
   const auto write_file = [error](const std::string& path,
                                   const std::string& content) {
     std::FILE* f = std::fopen(path.c_str(), "wb");

@@ -26,8 +26,7 @@ namespace rtlsat::proof {
 class DratWriter {
  public:
   struct Options {
-    bool binary = false;   // binary DRAT instead of text
-    bool discard = false;  // count steps/bytes but keep no content
+    bool binary = false;  // binary DRAT instead of text
   };
 
   DratWriter() = default;
@@ -53,11 +52,10 @@ class DratWriter {
   std::int64_t original_clauses() const { return num_original_; }
   std::int64_t proof_steps() const { return num_steps_; }
   std::int64_t proof_deletions() const { return num_deletions_; }
-  std::int64_t proof_bytes() const { return proof_bytes_; }
   bool concluded() const { return concluded_; }
 
   // Writes dimacs() and proof() to files. Returns false (with a message
-  // in *error when non-null) on I/O failure or in discard mode.
+  // in *error when non-null) on I/O failure.
   bool save(const std::string& dimacs_path, const std::string& proof_path,
             std::string* error) const;
 
@@ -70,7 +68,6 @@ class DratWriter {
   std::int64_t num_original_ = 0;
   std::int64_t num_steps_ = 0;
   std::int64_t num_deletions_ = 0;
-  std::int64_t proof_bytes_ = 0;
   int max_var_ = 0;
   bool concluded_ = false;
 };

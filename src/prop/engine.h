@@ -191,8 +191,8 @@ class Engine {
     return num_datapath_narrowings_;
   }
 
-  // Instrumented heap accounting for the metrics sampler (O(1) reads; see
-  // src/metrics/memory.h). The implication graph is the trail plus the
+  // Instrumented heap accounting for the progress heartbeat (O(1) reads;
+  // see src/trace/memory.h). The implication graph is the trail plus the
   // antecedent arena at capacity (rollback keeps both for the next descent);
   // the interval store is the domain vector.
   std::int64_t implication_graph_bytes() const {

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "metrics/solver_gauges.h"
 #include "proof/drat.h"
 #include "trace/progress.h"
 #include "trace/trace.h"
@@ -38,8 +37,7 @@ Solver::Solver(SolverOptions options)
       h_learned_len_(stats_.histogram("sat.learned_clause_len")),
       h_backjump_(stats_.histogram("sat.backjump_distance")),
       tracer_(options.tracer != nullptr ? options.tracer : &trace::global()),
-      progress_(options.progress),
-      gauges_(options.gauges) {
+      progress_(options.progress) {
   drat_ = options.drat;
 }
 
@@ -503,48 +501,27 @@ Result Solver::solve() { return solve({}); }
 
 Result Solver::solve(const std::vector<Lit>& assumptions) {
   const Result result = solve_impl(assumptions);
-  if (progress_ != nullptr) {
-    trace::ProgressSnapshot s;
-    s.conflicts = n_conflicts_;
-    s.decisions = n_decisions_;
-    s.propagations = n_propagations_;
-    s.learnt = static_cast<std::int64_t>(learnt_count_);
-    s.restarts = n_restarts_;
-    s.trail = static_cast<std::int64_t>(trail_.size());
-    s.level = static_cast<std::uint32_t>(trail_lim_.size());
-    progress_->finish(s);
-  }
-  publish_metrics();
-  if (gauges_ != nullptr) gauges_->set_phase(metrics::SolverPhase::kIdle);
+  if (progress_ != nullptr) progress_->finish(progress_snapshot());
   tracer_->flush();
   return result;
 }
 
-void Solver::publish_metrics() {
-  if (gauges_ == nullptr) return;
-  gauges_->decisions->set(n_decisions_);
-  gauges_->conflicts->set(n_conflicts_);
-  gauges_->propagations->set(n_propagations_);
-  gauges_->restarts->set(n_restarts_);
-  gauges_->learnt_clauses->set(static_cast<std::int64_t>(learnt_count_));
-  gauges_->trail->set(static_cast<std::int64_t>(trail_.size()));
-  gauges_->level->set(static_cast<std::int64_t>(trail_lim_.size()));
-  gauges_->clause_db_bytes->set(memory_bytes());
+trace::ProgressSnapshot Solver::progress_snapshot() const {
+  trace::ProgressSnapshot s;
+  s.conflicts = n_conflicts_;
+  s.decisions = n_decisions_;
+  s.propagations = n_propagations_;
+  s.learnt = static_cast<std::int64_t>(learnt_count_);
+  s.restarts = n_restarts_;
+  s.trail = static_cast<std::int64_t>(trail_.size());
+  s.level = static_cast<std::uint32_t>(trail_lim_.size());
+  s.clause_db_bytes = memory_bytes();
   // The trail with its reason/level side arrays is this solver's analogue
   // of the hybrid implication graph; there is no interval store.
-  gauges_->implication_graph_bytes->set(static_cast<std::int64_t>(
+  s.implication_graph_bytes = static_cast<std::int64_t>(
       trail_.capacity() * sizeof(Lit) + reason_.capacity() * sizeof(ClauseRef) +
-      level_.capacity() * sizeof(int)));
-}
-
-void Solver::record_lbd(const std::vector<Lit>& learnt) {
-  if (gauges_ == nullptr || gauges_->lbd == nullptr) return;
-  lbd_scratch_.clear();
-  for (const Lit l : learnt) lbd_scratch_.push_back(level_[l.var()]);
-  std::sort(lbd_scratch_.begin(), lbd_scratch_.end());
-  const auto distinct = std::unique(lbd_scratch_.begin(), lbd_scratch_.end()) -
-                        lbd_scratch_.begin();
-  gauges_->lbd->observe(static_cast<std::int64_t>(distinct));
+      level_.capacity() * sizeof(int));
+  return s;
 }
 
 Result Solver::solve_impl(const std::vector<Lit>& assumptions) {
@@ -553,8 +530,6 @@ Result Solver::solve_impl(const std::vector<Lit>& assumptions) {
   // Defensive: every exit below restores root level, but start clean even
   // if a previous call was interrupted mid-abort.
   backtrack(0);
-  if (gauges_ != nullptr) gauges_->set_phase(metrics::SolverPhase::kSearch);
-  Timer timer;
   const StopToken stop = options_.stop.with_deadline(options_.timeout_seconds);
   max_learnts_ = std::max<std::size_t>(clauses_.size() / 3, 1000);
   std::int64_t restart_count = 0;
@@ -576,17 +551,8 @@ Result Solver::solve_impl(const std::vector<Lit>& assumptions) {
       ++n_conflicts_;
       const auto level = static_cast<std::uint32_t>(trail_lim_.size());
       tracer_->record(trace::EventKind::kConflict, level);
-      if (progress_ != nullptr) {
-        trace::ProgressSnapshot s;
-        s.conflicts = n_conflicts_;
-        s.decisions = n_decisions_;
-        s.propagations = n_propagations_;
-        s.learnt = static_cast<std::int64_t>(learnt_count_);
-        s.restarts = n_restarts_;
-        s.trail = static_cast<std::int64_t>(trail_.size());
-        s.level = level;
-        progress_->tick(s);
-      }
+      if (progress_ != nullptr && progress_->due())
+        progress_->report(progress_snapshot());
       if (trail_lim_.empty()) {
         // Conflict with no decisions or assumptions on the trail: the
         // instance is unconditionally UNSAT (assumptions get their own
@@ -601,8 +567,6 @@ Result Solver::solve_impl(const std::vector<Lit>& assumptions) {
       if (drat_ != nullptr) drat_->learned(to_dimacs(learnt));
       h_learned_len_.add(static_cast<std::int64_t>(learnt.size()));
       h_backjump_.add(static_cast<std::int64_t>(level) - bt_level);
-      record_lbd(learnt);
-      publish_metrics();
       tracer_->record(trace::EventKind::kLearnedClause, level,
                       static_cast<std::int64_t>(learnt.size()), bt_level);
       tracer_->record(trace::EventKind::kBacktrack, level, level, bt_level);

@@ -21,15 +21,12 @@
 namespace rtlsat::trace {
 class Tracer;
 class ProgressReporter;
+struct ProgressSnapshot;
 }  // namespace rtlsat::trace
 
 namespace rtlsat::proof {
 class DratWriter;
 }  // namespace rtlsat::proof
-
-namespace rtlsat::metrics {
-struct SolverGauges;
-}  // namespace rtlsat::metrics
 
 namespace rtlsat::sat {
 
@@ -94,12 +91,6 @@ struct SolverOptions {
   // refutation concluded) — nothing on the propagation hot path changes.
   // Borrowed; must outlive the solver.
   proof::DratWriter* drat = nullptr;
-
-  // Live telemetry (src/metrics), mirroring HdpllOptions::gauges: counter,
-  // memory and LBD publication into registry handles at conflict
-  // boundaries. Null (the default) costs one predicted branch per conflict.
-  // Borrowed; must outlive the solver.
-  metrics::SolverGauges* gauges = nullptr;
 };
 
 class Solver {
@@ -198,12 +189,8 @@ class Solver {
   void reduce_db();
   void attach(ClauseRef c);
   static std::int64_t luby(std::int64_t i);
-  // Live-telemetry publication (no-ops when options_.gauges is null); the
-  // LBD of a learned clause is read off level_ before the backtrack and
-  // recorded only into the registry histogram (not stats_), keeping bench
-  // output byte-identical with and without sampling.
-  void publish_metrics();
-  void record_lbd(const std::vector<Lit>& learnt);
+  // The counters and heap bytes a progress report carries.
+  trace::ProgressSnapshot progress_snapshot() const;
 
   SolverOptions options_;
   std::vector<Clause> clauses_;
@@ -250,9 +237,7 @@ class Solver {
   Histogram& h_backjump_;
   trace::Tracer* tracer_;              // never null after construction
   trace::ProgressReporter* progress_;  // may be null
-  metrics::SolverGauges* gauges_;      // may be null
   std::int64_t lits_heap_bytes_ = 0;
-  std::vector<int> lbd_scratch_;
 };
 
 inline std::int64_t Solver::memory_bytes() const {

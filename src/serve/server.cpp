@@ -560,7 +560,6 @@ void Server::run_job(const std::shared_ptr<Job>& job) {
   popts.deterministic = request.deterministic;
   popts.presolve = request.presolve;
   popts.stop = job->stop.token();
-  popts.metrics = options_.metrics;
   popts.progress_interval_seconds = options_.progress_interval_seconds;
   std::unique_ptr<ProgressForwarder> forwarder;
   if (request.progress) {

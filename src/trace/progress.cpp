@@ -1,6 +1,7 @@
 #include "trace/progress.h"
 
 #include "trace/json.h"
+#include "trace/memory.h"
 
 namespace rtlsat::trace {
 
@@ -10,21 +11,14 @@ ProgressReporter::ProgressReporter(ProgressOptions options)
   if (!options_.clock) {
     options_.clock = [this] { return epoch_.seconds(); };
   }
-  if (!options_.jsonl_path.empty()) {
-    jsonl_file_ = std::fopen(options_.jsonl_path.c_str(), "w");
-  }
   last_report_ = options_.clock();
 }
 
-ProgressReporter::~ProgressReporter() {
-  if (jsonl_file_ != nullptr) std::fclose(jsonl_file_);
-}
-
-void ProgressReporter::tick(const ProgressSnapshot& snapshot) {
+bool ProgressReporter::due() {
   const double now = options_.clock();
-  if (now - last_report_ < options_.interval_seconds) return;
+  if (now - last_report_ < options_.interval_seconds) return false;
   last_report_ = now;
-  emit(snapshot, now);
+  return true;
 }
 
 void ProgressReporter::finish(const ProgressSnapshot& snapshot) {
@@ -49,7 +43,7 @@ void ProgressReporter::emit(const ProgressSnapshot& snapshot, double now) {
                  static_cast<long long>(snapshot.trail), snapshot.level);
     std::fflush(options_.stream);
   }
-  if (jsonl_file_ != nullptr || options_.sink != nullptr) {
+  if (options_.sink != nullptr) {
     JsonWriter w;
     w.begin_object();
     // Schema version + per-reporter sequence number: a streaming consumer
@@ -68,12 +62,15 @@ void ProgressReporter::emit(const ProgressSnapshot& snapshot, double now) {
     w.key("restarts").value(snapshot.restarts);
     w.key("trail").value(snapshot.trail);
     w.key("level").value(static_cast<std::int64_t>(snapshot.level));
+    w.key("clauses_exported").value(snapshot.clauses_exported);
+    w.key("clauses_imported").value(snapshot.clauses_imported);
+    w.key("clause_db_bytes").value(snapshot.clause_db_bytes);
+    w.key("implication_graph_bytes").value(snapshot.implication_graph_bytes);
+    w.key("interval_store_bytes").value(snapshot.interval_store_bytes);
+    const ProcMemory mem = read_proc_memory();
+    w.key("rss_kb").value(mem.ok ? mem.rss_kb : 0);
     w.end_object();
-    if (jsonl_file_ != nullptr) {
-      std::fprintf(jsonl_file_, "%s\n", w.str().c_str());
-      std::fflush(jsonl_file_);
-    }
-    if (options_.sink != nullptr) options_.sink->write_line(w.str());
+    options_.sink->write_line(w.str());
   }
   if (options_.tracer != nullptr) {
     options_.tracer->record(EventKind::kProgress, snapshot.level,

@@ -1,8 +1,7 @@
 // JsonlSink: a small thread-safe line sink for JSONL telemetry streams.
 //
-// The metrics Sampler and the per-worker ProgressReporters of a portfolio
-// run share one sink, so interleaved writers from different threads never
-// tear a line. Lines are flushed to the OS on every write — telemetry is
+// The per-worker ProgressReporters of a portfolio run share one sink, so
+// interleaved writers from different threads never tear a line. Lines are flushed to the OS on every write — telemetry is
 // low-rate (heartbeats, samples) and a crash should lose at most the line
 // being written.
 //

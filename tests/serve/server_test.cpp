@@ -16,6 +16,7 @@
 #include "parser/rtl_format.h"
 #include "serve/client.h"
 #include "trace/json.h"
+#include "trace/progress.h"
 
 namespace rtlsat::serve {
 namespace {
@@ -289,9 +290,10 @@ TEST(ServerTest, ProgressFramesCarryVersionedHeartbeats) {
     trace::JsonValue doc;
     ASSERT_TRUE(trace::json_parse(hb, &doc, &error)) << error;
     ASSERT_NE(doc.find("v"), nullptr);
-    EXPECT_EQ(doc.find("v")->number, 1);
+    EXPECT_EQ(doc.find("v")->number, trace::kHeartbeatSchemaVersion);
     ASSERT_NE(doc.find("seq"), nullptr);
     ASSERT_NE(doc.find("conflicts"), nullptr);
+    ASSERT_NE(doc.find("clause_db_bytes"), nullptr);
   }
 }
 

@@ -5,13 +5,21 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bmc/unroll.h"
 #include "core/hdpll.h"
+#include "itc99/itc99.h"
+#include "portfolio/portfolio.h"
+#include "sat/solver.h"
 #include "trace/json.h"
+#include "trace/memory.h"
 #include "trace/progress.h"
+#include "trace/sink.h"
 
 namespace rtlsat::trace {
 namespace {
@@ -25,6 +33,47 @@ std::string read_file(const std::string& path) {
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+std::vector<JsonValue> parse_lines(const std::string& text) {
+  std::istringstream lines(text);
+  std::string line;
+  std::vector<JsonValue> out;
+  while (std::getline(lines, line)) {
+    if (line.empty()) continue;
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(json_parse(line, &doc, &error)) << error << ": " << line;
+    EXPECT_TRUE(doc.is_object()) << line;
+    out.push_back(std::move(doc));
+  }
+  return out;
+}
+
+// Keeps every heartbeat line in memory instead of writing a file.
+struct CollectSink : JsonlSink {
+  std::mutex mu;
+  std::vector<std::string> lines;
+  void write_line(const std::string& line) override {
+    std::lock_guard<std::mutex> lock(mu);
+    lines.push_back(line);
+  }
+  JsonValue last() {
+    std::lock_guard<std::mutex> lock(mu);
+    JsonValue doc;
+    std::string error;
+    EXPECT_FALSE(lines.empty());
+    if (!lines.empty()) {
+      EXPECT_TRUE(json_parse(lines.back(), &doc, &error)) << error;
+    }
+    return doc;
+  }
+};
+
+double field(const JsonValue& doc, const char* name) {
+  const JsonValue* v = doc.find(name);
+  EXPECT_NE(v, nullptr) << name;
+  return v != nullptr ? v->number : -1;
 }
 
 // ---------------------------------------------------------------------------
@@ -297,10 +346,10 @@ TEST(Progress, RateLimitsToInterval) {
   ProgressSnapshot snapshot;
   for (int conflict = 0; conflict < 1000; ++conflict) {
     snapshot.conflicts = conflict;
-    now = 0.01 * conflict;  // 1000 ticks spread over 10 fake seconds
-    reporter.tick(snapshot);
+    now = 0.01 * conflict;  // 1000 conflicts spread over 10 fake seconds
+    if (reporter.due()) reporter.report(snapshot);
   }
-  // One report per elapsed interval, not one per tick.
+  // One report per elapsed interval, not one per conflict.
   EXPECT_GE(reporter.reports(), 8);
   EXPECT_LE(reporter.reports(), 11);
 }
@@ -309,12 +358,12 @@ TEST(Progress, FinishAlwaysReports) {
   double now = 0.0;
   ProgressOptions options;
   options.banner = false;
-  options.interval_seconds = 1e9;  // tick() never fires on its own
+  options.interval_seconds = 1e9;  // due() never fires on its own
   options.clock = [&now] { return now; };
   ProgressReporter reporter(options);
   ProgressSnapshot snapshot;
   snapshot.conflicts = 5;
-  reporter.tick(snapshot);
+  if (reporter.due()) reporter.report(snapshot);
   EXPECT_EQ(reporter.reports(), 0);
   reporter.finish(snapshot);
   EXPECT_EQ(reporter.reports(), 1);
@@ -324,9 +373,11 @@ TEST(Progress, JsonlHeartbeatCarriesCounters) {
   const std::string path = temp_path("rtlsat_progress_test.jsonl");
   double now = 0.0;
   {
+    JsonlSink sink(path);
+    ASSERT_TRUE(sink.ok());
     ProgressOptions options;
     options.banner = false;
-    options.jsonl_path = path;
+    options.sink = &sink;
     options.interval_seconds = 1.0;
     options.clock = [&now] { return now; };
     ProgressReporter reporter(options);
@@ -334,25 +385,51 @@ TEST(Progress, JsonlHeartbeatCarriesCounters) {
     snapshot.conflicts = 3;
     snapshot.decisions = 9;
     snapshot.propagations = 27;
+    snapshot.clauses_imported = 4;
+    snapshot.clause_db_bytes = 4096;
     now = 2.0;
-    reporter.tick(snapshot);
+    if (reporter.due()) reporter.report(snapshot);
     reporter.finish(snapshot);
   }
-  std::istringstream lines(read_file(path));
-  std::string line;
-  int heartbeats = 0;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(json_parse(line, &doc, &error)) << error;
-    EXPECT_EQ(doc.find("conflicts")->number, 3);
-    EXPECT_EQ(doc.find("decisions")->number, 9);
-    EXPECT_EQ(doc.find("propagations")->number, 27);
-    ++heartbeats;
+  const std::vector<JsonValue> heartbeats = parse_lines(read_file(path));
+  EXPECT_EQ(heartbeats.size(), 2u);
+  for (const JsonValue& doc : heartbeats) {
+    EXPECT_EQ(field(doc, "conflicts"), 3);
+    EXPECT_EQ(field(doc, "decisions"), 9);
+    EXPECT_EQ(field(doc, "propagations"), 27);
+    EXPECT_EQ(field(doc, "clauses_exported"), 0);
+    EXPECT_EQ(field(doc, "clauses_imported"), 4);
+    EXPECT_EQ(field(doc, "clause_db_bytes"), 4096);
+    EXPECT_EQ(field(doc, "implication_graph_bytes"), 0);
+    EXPECT_EQ(field(doc, "interval_store_bytes"), 0);
+#ifdef __linux__
+    EXPECT_GT(field(doc, "rss_kb"), 0);
+#endif
   }
-  EXPECT_EQ(heartbeats, 2);
   std::filesystem::remove(path);
+}
+
+TEST(Progress, DueReadsTheClockOncePerCall) {
+  // The solvers call due() once per conflict and build a snapshot only
+  // when it returns true, so a conflict costs exactly one clock read.
+  int reads = 0;
+  double now = 0.0;
+  ProgressOptions options;
+  options.banner = false;
+  options.interval_seconds = 1.0;
+  options.clock = [&] {
+    ++reads;
+    return now;
+  };
+  ProgressReporter reporter(options);
+  reads = 0;  // the constructor's epoch read
+  EXPECT_FALSE(reporter.due());
+  now = 1.5;
+  EXPECT_TRUE(reporter.due());
+  reporter.report(ProgressSnapshot{});
+  EXPECT_FALSE(reporter.due());
+  EXPECT_EQ(reads, 3);
+  EXPECT_EQ(reporter.reports(), 1);
 }
 
 TEST(Progress, HeartbeatsCarrySchemaVersionAndSequence) {
@@ -360,12 +437,7 @@ TEST(Progress, HeartbeatsCarrySchemaVersionAndSequence) {
   // 0-based seq that advances by exactly 1 per line, tagged with the
   // worker label when one is set — the contract the serve protocol and
   // bench_json_validate's jsonl mode both rely on.
-  struct CollectSink : JsonlSink {
-    std::vector<std::string> lines;
-    void write_line(const std::string& line) override {
-      lines.push_back(line);
-    }
-  } sink;
+  CollectSink sink;
   double now = 0.0;
   ProgressOptions options;
   options.banner = false;
@@ -378,7 +450,7 @@ TEST(Progress, HeartbeatsCarrySchemaVersionAndSequence) {
   for (int i = 1; i <= 3; ++i) {
     snapshot.conflicts = i;
     now = static_cast<double>(i) * 1.5;
-    reporter.tick(snapshot);
+    if (reporter.due()) reporter.report(snapshot);
   }
   reporter.finish(snapshot);
   ASSERT_EQ(sink.lines.size(), 4u);
@@ -408,7 +480,7 @@ TEST(Progress, BannerPrintsHeaderOnceAndRows) {
   for (int i = 1; i <= 3; ++i) {
     snapshot.conflicts = i * 100;
     now = static_cast<double>(i) * 1.5;
-    reporter.tick(snapshot);
+    if (reporter.due()) reporter.report(snapshot);
   }
   std::fflush(stream);
   std::rewind(stream);
@@ -448,7 +520,8 @@ TEST(Progress, EmitsCounterEventsIntoTracer) {
 // Zero-drift regression: tracing must observe the search, not perturb it.
 
 core::SolveResult solve_quickstartish(trace::Tracer* tracer, Stats* stats,
-                                      bool predicate_learning = true) {
+                                      bool predicate_learning = true,
+                                      ProgressReporter* progress = nullptr) {
   ir::Circuit c("t");
   const ir::NetId acc = c.add_input("acc", 8);
   const ir::NetId in = c.add_input("in", 8);
@@ -461,6 +534,7 @@ core::SolveResult solve_quickstartish(trace::Tracer* tracer, Stats* stats,
   options.structural_decisions = true;
   options.predicate_learning = predicate_learning;
   options.tracer = tracer;
+  options.progress = progress;
   core::HdpllSolver solver(c, options);
   solver.assume_bool(goal, true);
   const core::SolveResult result = solver.solve();
@@ -505,33 +579,149 @@ TEST(ZeroDrift, EnabledTracerDoesNotChangeTheSearch) {
   EXPECT_EQ(search_counters(default_stats), search_counters(enabled_stats));
 }
 
+// A reporter due on every conflict, writing every heartbeat through a sink,
+// must not move a single search counter.
 TEST(ZeroDrift, ProgressReporterDoesNotChangeTheSearch) {
   Stats baseline_stats;
   const core::SolveResult baseline =
       solve_quickstartish(nullptr, &baseline_stats);
 
+  CollectSink sink;
+  ProgressOptions popts;
+  popts.banner = false;
+  popts.interval_seconds = 0;
+  popts.sink = &sink;
+  ProgressReporter progress(popts);
+  Stats reported_stats;
+  const core::SolveResult reported =
+      solve_quickstartish(nullptr, &reported_stats, true, &progress);
+
+  EXPECT_EQ(reported.status, baseline.status);
+  EXPECT_GE(progress.reports(), 1);  // the final finish() report
+  EXPECT_EQ(static_cast<std::int64_t>(sink.lines.size()), progress.reports());
+  EXPECT_EQ(search_counters(baseline_stats), search_counters(reported_stats));
+  // The final heartbeat's totals agree with the per-solver Stats view.
+  const JsonValue last = sink.last();
+  EXPECT_EQ(field(last, "decisions"), baseline_stats.get("hdpll.decisions"));
+  EXPECT_EQ(field(last, "conflicts"), baseline_stats.get("hdpll.conflicts"));
+}
+
+// ---------------------------------------------------------------------------
+// Heartbeat memory accounting: the final line carries the owning classes'
+// byte counters exactly.
+
+TEST(Heartbeat, HdpllBytesMatchItsAccounting) {
+  const bmc::BmcInstance instance = bmc::unroll(itc99::build("b13"), "1", 30);
+  CollectSink sink;
+  ProgressOptions popts;
+  popts.banner = false;
+  popts.sink = &sink;
+  ProgressReporter progress(popts);
+  core::HdpllOptions options;
+  options.structural_decisions = true;
+  options.predicate_learning = true;
+  options.progress = &progress;
+  core::HdpllSolver solver(instance.circuit, options);
+  solver.assume_bool(instance.goal, true);
+  (void)solver.solve();
+
+  const JsonValue last = sink.last();
+  EXPECT_EQ(field(last, "v"), kHeartbeatSchemaVersion);
+  EXPECT_EQ(field(last, "clause_db_bytes"), solver.clauses().memory_bytes());
+  EXPECT_GT(solver.clauses().memory_bytes(), 0);
+  EXPECT_EQ(field(last, "implication_graph_bytes"),
+            solver.engine().implication_graph_bytes());
+  EXPECT_EQ(field(last, "interval_store_bytes"),
+            solver.engine().interval_store_bytes());
+  EXPECT_GT(solver.engine().interval_store_bytes(), 0);
+  EXPECT_EQ(field(last, "clauses_exported"), 0);  // no portfolio
+}
+
+TEST(Heartbeat, CdclBytesMatchItsAccounting) {
+  CollectSink sink;
+  ProgressOptions popts;
+  popts.banner = false;
+  popts.sink = &sink;
+  ProgressReporter progress(popts);
+  sat::SolverOptions options;
+  options.progress = &progress;
+  sat::Solver solver(options);
+  // Pigeonhole(4): UNSAT, forces real conflict analysis and learned clauses.
+  const int holes = 4, pigeons = 5;
+  std::vector<std::vector<sat::Var>> p(pigeons, std::vector<sat::Var>(holes));
+  for (auto& row : p)
+    for (auto& v : row) v = solver.new_var();
+  for (auto& row : p) {
+    std::vector<sat::Lit> clause;
+    for (auto v : row) clause.push_back(sat::Lit(v, true));
+    solver.add_clause(clause);
+  }
+  for (int h = 0; h < holes; ++h)
+    for (int i = 0; i < pigeons; ++i)
+      for (int j = i + 1; j < pigeons; ++j)
+        solver.add_clause({sat::Lit(p[i][h], false), sat::Lit(p[j][h], false)});
+  ASSERT_EQ(solver.solve(), sat::Result::kUnsat);
+
+  const JsonValue last = sink.last();
+  EXPECT_GT(field(last, "decisions"), 0);
+  EXPECT_GT(field(last, "conflicts"), 0);
+  EXPECT_GT(field(last, "propagations"), 0);
+  EXPECT_EQ(field(last, "clause_db_bytes"), solver.memory_bytes());
+  EXPECT_GT(solver.memory_bytes(), 0);
+  EXPECT_GT(field(last, "implication_graph_bytes"), 0);
+  EXPECT_EQ(field(last, "interval_store_bytes"), 0);  // no interval store
+}
+
+// Portfolio: every worker's heartbeats carry its "<index>:<config>" tag and
+// the v2 fields, in one shared file.
+TEST(Portfolio, SamplesAndHeartbeatsCarryWorkerIds) {
   ir::Circuit c("t");
   const ir::NetId acc = c.add_input("acc", 8);
   const ir::NetId in = c.add_input("in", 8);
   const ir::NetId cap = c.add_const(200, 8);
   const ir::NetId saturated = c.add_min(c.add_add(acc, in), cap);
-  const ir::NetId goal =
-      c.add_and(c.add_eq(saturated, cap),
-                c.add_lt(acc, c.add_const(100, 8)));
-  core::HdpllOptions options;
-  options.structural_decisions = true;
-  options.predicate_learning = true;
-  ProgressOptions popts;
-  popts.banner = false;
-  ProgressReporter progress(popts);
-  options.progress = &progress;
-  core::HdpllSolver solver(c, options);
-  solver.assume_bool(goal, true);
-  const core::SolveResult result = solver.solve();
+  const ir::NetId goal = c.add_and(c.add_eq(saturated, cap),
+                                   c.add_lt(acc, c.add_const(100, 8)));
 
-  EXPECT_EQ(result.status, baseline.status);
-  EXPECT_GE(progress.reports(), 1);  // the final finish() report
-  EXPECT_EQ(search_counters(baseline_stats), search_counters(solver.stats()));
+  const std::string path = temp_path("rtlsat_portfolio_progress.jsonl");
+  std::filesystem::remove(path);
+  {
+    JsonlSink sink(path);
+    ASSERT_TRUE(sink.ok());
+    portfolio::PortfolioOptions options;
+    options.jobs = 2;
+    options.deterministic = true;
+    options.progress_sink = &sink;
+    options.progress_interval_seconds = 0.0;  // heartbeat on every conflict
+    portfolio::Portfolio race(c, goal, true, options);
+    (void)race.solve();
+  }
+
+  const std::vector<JsonValue> lines = parse_lines(read_file(path));
+  ASSERT_GE(lines.size(), 2u);  // at least the finish() report per worker
+  std::set<std::string> workers;
+  for (const JsonValue& line : lines) {
+    EXPECT_EQ(field(line, "v"), kHeartbeatSchemaVersion);
+    EXPECT_GE(field(line, "clause_db_bytes"), 0);
+    EXPECT_GE(field(line, "clauses_imported"), 0);
+    ASSERT_NE(line.find("worker"), nullptr);
+    const std::string tag = line.find("worker")->string;
+    ASSERT_GE(tag.size(), 2u);
+    workers.insert(tag.substr(0, tag.find(':')));
+  }
+  EXPECT_EQ(workers, (std::set<std::string>{"0", "1"}));
+  std::filesystem::remove(path);
+}
+
+TEST(Memory, ReadProcMemoryReportsResidentSet) {
+  const ProcMemory mem = read_proc_memory();
+#ifdef __linux__
+  ASSERT_TRUE(mem.ok);
+  EXPECT_GT(mem.rss_kb, 0);
+  EXPECT_GE(mem.rss_peak_kb, mem.rss_kb);
+#else
+  EXPECT_FALSE(mem.ok);
+#endif
 }
 
 // The cached-handle satellite: the solver exports its per-search totals both
