@@ -7,7 +7,7 @@
 //   $ ./bench_json_validate chrome out.trace.json      # Chrome trace_event
 //   $ ./bench_json_validate jsonl  out.jsonl           # tracer events or
 //                                                     # solver heartbeats
-//   $ ./bench_json_validate timeseries ts.jsonl        # serve sampler series
+//   $ ./bench_json_validate timeseries ts.jsonl        # serve --metrics series
 //   $ ./bench_json_validate loadgen loadgen.json       # serve loadgen --json
 //   $ ./bench_json_validate counters a.json b.json     # two bench --json
 //                              # files must have identical solver counters
@@ -276,10 +276,11 @@ bool validate_jsonl(const std::string& text) {
   return true;
 }
 
-// Sampler time series (docs/observability.md "Time-series schema"): one
-// JSON object per line with numeric t_s and string source; timestamps are
-// non-decreasing per source; every other field is a number or a string
-// (label echo); "process" lines carry rss_kb/rss_peak_kb.
+// `serve --metrics` time series (docs/observability.md "Time-series
+// schema"): one JSON object per line with numeric t_s and string source;
+// timestamps are non-decreasing per source; every other field is a number
+// or a string; "main" lines carry serve.jobs_done and "process" lines
+// rss_kb/rss_peak_kb.
 bool validate_timeseries(const std::string& text) {
   std::istringstream lines(text);
   std::string line;
@@ -303,6 +304,8 @@ bool validate_timeseries(const std::string& text) {
     if (it != last_t.end() && t < it->second)
       return fail(where + ": t_s moves backwards for source '" + source + "'");
     last_t[source] = t;
+    if (source == "main" && !require_number(doc, "serve.jobs_done", where))
+      return false;
     if (source == "process") {
       if (!require_number(doc, "rss_kb", where)) return false;
       if (!require_number(doc, "rss_peak_kb", where)) return false;

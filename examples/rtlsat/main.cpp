@@ -48,7 +48,8 @@ const Command kCommands[] = {
      "[--full|--smoke] [--json P] [--jobs N] [--no-share] [--metrics P] "
      "[--sample-ms N] [--presolve]"},
     {"figures", cmd_figures, ""},
-    {"ablations", cmd_ablations, "[--full|--smoke] [--json P]"},
+    {"ablations", cmd_ablations,
+     "[--full|--smoke] [--json P] [--metrics P] [--sample-ms N]"},
 };
 
 int usage() {

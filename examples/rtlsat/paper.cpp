@@ -280,16 +280,16 @@ class BenchJson {
   trace::JsonWriter w_;
 };
 
-// One run of a table or ablation command: its flags, JSON rows, live
-// telemetry and certificate capture. A bare Paper(timeout) records nothing.
+// One run of a table or ablation command: the flags every one of them
+// takes (--full, --smoke, --json, --metrics, --sample-ms), JSON rows, live
+// telemetry and certificate capture. A command reads its own flags before
+// constructing this, which rejects whatever is left over. A bare
+// Paper(timeout) records nothing.
 struct Paper {
   explicit Paper(double timeout_seconds) : timeout(timeout_seconds) {}
   Paper(Args& args, const std::string& bench, double full_timeout)
       : full(args.flag("--full")),
         smoke(args.flag("--smoke")),
-        share(!args.flag("--no-share")),
-        presolve(args.flag("--presolve")),
-        jobs(static_cast<int>(args.integer("--jobs", 0, 0))),
         timeout(smoke ? 10 : full ? full_timeout : 60),
         proof(ProofCapture::from_env()),
         json(bench, args.text("--json", "")) {
@@ -311,6 +311,7 @@ struct Paper {
 
   bool full = false;
   bool smoke = false;
+  // Table 2's lanes: the portfolio column (jobs > 0) and the presolve row.
   bool share = true;
   bool presolve = false;
   int jobs = 0;
@@ -476,6 +477,7 @@ const char* verdict_word(char v) {
 }  // namespace
 
 int cmd_table1(Args& args) {
+  const bool presolve = args.flag("--presolve");
   Paper p(args, "table1_predicate_learning", 1200);
   std::printf("Table 1 — Run-Time Analysis of Predicate Learning (paper "
               "values in brackets)\n");
@@ -498,7 +500,7 @@ int cmd_table1(Args& args) {
                 learned.learning.relations_learned, learned.learning.seconds,
                 cell(plain).c_str(), paper_cell(row.paper[0]).c_str(),
                 cell(learned).c_str(), paper_cell(row.paper[1]).c_str());
-    if (p.presolve)
+    if (presolve)
       presolve_lane(p, instance, "HDPLL+PredLearn+presolve", learn_options);
   }
   std::printf("\nShape targets (§3.1): learning overhead dominates at small "
@@ -507,7 +509,13 @@ int cmd_table1(Args& args) {
 }
 
 int cmd_table2(Args& args) {
+  const int jobs = static_cast<int>(args.integer("--jobs", 0, 0));
+  const bool share = !args.flag("--no-share");
+  const bool presolve = args.flag("--presolve");
   Paper p(args, "table2_structural", 1200);
+  p.jobs = jobs;
+  p.share = share;
+  p.presolve = presolve;
   std::printf("Table 2 — Structural Decision Strategy (ours [paper]); CDP "
               "stand-ins per DESIGN.md\n");
   table2_header(p.jobs > 0);

@@ -1,16 +1,20 @@
 // rtlsat serve / rtlsat client: the solve service and its command-line
 // client (docs/serve.md).
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "cli.h"
-#include "metrics/sampler.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "trace/memory.h"
 
 namespace rtlsat::cli {
 
@@ -49,21 +53,6 @@ int cmd_serve(Args& args) {
   sigaddset(&drain_set, SIGINT);
   pthread_sigmask(SIG_BLOCK, &drain_set, nullptr);
 
-  // --metrics BASE: the serve.* gauges and the process line, sampled into
-  // <BASE>.metrics.jsonl. Per-job solver state travels as progress frames.
-  metrics::MetricsRegistry registry;
-  std::unique_ptr<trace::JsonlSink> metrics_sink;
-  std::unique_ptr<metrics::Sampler> sampler;
-  if (!metrics_base.empty()) {
-    metrics_sink =
-        std::make_unique<trace::JsonlSink>(metrics_base + ".metrics.jsonl");
-    metrics::SamplerOptions sampler_options;
-    sampler_options.sink = metrics_sink.get();
-    sampler_options.interval_seconds = std::max(sample_ms, 1.0) / 1000.0;
-    sampler = std::make_unique<metrics::Sampler>(&registry, sampler_options);
-    sampler->start();
-    options.metrics = &registry;
-  }
   serve::Server server(options);
   std::string error;
   if (!server.start(&error)) {
@@ -93,8 +82,46 @@ int cmd_serve(Args& args) {
     }
   }).detach();
 
+  // --metrics BASE: Server::snapshot() and the process memory every
+  // --sample-ms into <BASE>.metrics.jsonl, plus a final sample once the
+  // server has drained, so even a sub-interval run yields a series.
+  // Per-job solver state travels as progress frames instead.
+  std::optional<trace::JsonlSink> metrics_sink;
+  std::optional<serve::StatsSample> previous;
+  const auto sample = [&] {
+    const serve::ServerStats stats = server.snapshot();
+    const serve::StatsSample now{stats.uptime_seconds, stats};
+    for (const std::string& line :
+         serve::encode_sample(now, previous ? &*previous : nullptr,
+                              trace::read_proc_memory()))
+      metrics_sink->write_line(line);
+    previous = now;
+  };
+  std::mutex sampler_mu;
+  std::condition_variable sampler_cv;
+  bool drained = false;
+  std::thread sampler;
+  if (!metrics_base.empty()) {
+    metrics_sink.emplace(metrics_base + ".metrics.jsonl");
+    const std::chrono::duration<double, std::milli> interval(
+        std::max(sample_ms, 1.0));
+    sampler = std::thread([&, interval] {
+      std::unique_lock<std::mutex> lock(sampler_mu);
+      while (!sampler_cv.wait_for(lock, interval, [&] { return drained; }))
+        sample();
+    });
+  }
+
   server.wait();
-  if (sampler != nullptr) sampler->stop();
+  if (sampler.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(sampler_mu);
+      drained = true;
+    }
+    sampler_cv.notify_all();
+    sampler.join();
+    sample();
+  }
   const serve::ServerStats stats = server.snapshot();
   std::fprintf(stderr,
                "served %lld jobs in %.1fs (%.2f jobs/s, cache hit ratio "

@@ -5,34 +5,18 @@ namespace rtlsat::serve {
 BankCheckout ClauseBank::checkout(const std::string& rtl,
                                   const std::string& goal, bool value,
                                   int workers) {
-  // goal cannot contain '\n' (it is one .rtl token), so the separator makes
-  // the concatenation injective.
-  std::string key = goal;
-  key += value ? "\n1\n" : "\n0\n";
-  key += rtl;
-
+  std::string key = exact_request_key(rtl, goal, value);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    if (capacity_ == 0) {
-      // Bank disabled: hand out an unshared pool so callers need no
-      // special case (it behaves exactly like the portfolio's local pool).
-      return BankCheckout{std::make_shared<portfolio::ClausePool>(), 0};
-    }
-    lru_.push_front(
-        Entry{std::move(key), std::make_shared<portfolio::ClausePool>(), 0});
-    index_.emplace(lru_.front().key, lru_.begin());
-    if (lru_.size() > capacity_) {
-      index_.erase(lru_.back().key);
-      lru_.pop_back();  // running checkouts keep the pool alive
-    }
-    it = index_.find(lru_.front().key);
-  } else {
-    lru_.splice(lru_.begin(), lru_, it->second);
+  Entry* entry = lru_.find(key);
+  if (entry == nullptr) {
+    auto pool = std::make_shared<portfolio::ClausePool>();
+    entry = lru_.insert(std::move(key), Entry{pool});
+    // Capacity 0 stores nothing: the unshared pool behaves exactly like the
+    // portfolio's local one, so callers need no special case.
+    if (entry == nullptr) return BankCheckout{pool, 0};
   }
-  Entry& entry = *it->second;
-  BankCheckout out{entry.pool, entry.next_worker_id};
-  entry.next_worker_id += workers > 0 ? workers : 1;
+  BankCheckout out{entry->pool, entry->next_worker_id};
+  entry->next_worker_id += workers > 0 ? workers : 1;
   return out;
 }
 
@@ -44,26 +28,13 @@ std::size_t ClauseBank::size() const {
 std::shared_ptr<BmcSession> BmcSessionBank::checkout(
     const std::string& seq_rtl, const std::string& property,
     bool cumulative) {
-  // property cannot contain '\n' (it is one .rtl token), so the separator
-  // makes the concatenation injective.
-  std::string key = property;
-  key += cumulative ? "\nA\n" : "\nK\n";
-  key += seq_rtl;
-
+  std::string key = exact_request_key(seq_rtl, property, cumulative);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    if (capacity_ == 0) return std::make_shared<BmcSession>();
-    lru_.push_front(Entry{std::move(key), std::make_shared<BmcSession>()});
-    index_.emplace(lru_.front().key, lru_.begin());
-    if (lru_.size() > capacity_) {
-      index_.erase(lru_.back().key);
-      lru_.pop_back();  // running checkouts keep the session alive
-    }
-    return lru_.front().session;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->session;
+  if (const auto* session = lru_.find(key)) return *session;
+  auto session = std::make_shared<BmcSession>();
+  // Capacity 0 stores nothing: the caller gets a fresh unshared session.
+  lru_.insert(std::move(key), session);
+  return session;
 }
 
 std::size_t BmcSessionBank::size() const {

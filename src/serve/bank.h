@@ -6,11 +6,12 @@
 // Keying is deliberately stricter than the result cache's: learned clauses
 // reference concrete NetIds and HDPLL applies the goal as a level-0
 // assumption, so a clause bank entry is only sound for a byte-identical
-// (rtl text, goal name, goal value) triple — the parse then assigns the
-// same NetIds and the clauses are consequences of the same assumed
-// formula. Isomorphic-but-renumbered circuits must NOT share a pool;
-// translating clauses through the canonical form is future work tracked
-// in ROADMAP item 1 (incremental solving).
+// (rtl text, goal name, goal value) triple (serve/lru.h's
+// exact_request_key) — the parse then assigns the same NetIds and the
+// clauses are consequences of the same assumed formula.
+// Isomorphic-but-renumbered circuits must NOT share a pool; translating
+// clauses through the canonical form is future work tracked in ROADMAP
+// item 1 (incremental solving).
 //
 // Each checkout also reserves a disjoint worker-id range in the pool's
 // namespace (PortfolioOptions::worker_id_base): ClausePool::fetch skips a
@@ -24,15 +25,14 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "bmc/incremental.h"
 #include "ir/seq.h"
 #include "portfolio/clause_pool.h"
+#include "serve/lru.h"
 
 namespace rtlsat::serve {
 
@@ -43,7 +43,7 @@ struct BankCheckout {
 
 class ClauseBank {
  public:
-  explicit ClauseBank(std::size_t capacity) : capacity_(capacity) {}
+  explicit ClauseBank(std::size_t capacity) : lru_(capacity) {}
 
   // Returns the pool for this exact instance (creating it on first use)
   // plus a worker-id base no other checkout of the same pool received.
@@ -55,15 +55,12 @@ class ClauseBank {
 
  private:
   struct Entry {
-    std::string key;
     std::shared_ptr<portfolio::ClausePool> pool;
     int next_worker_id = 0;
   };
 
   mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  Lru<Entry> lru_;
 };
 
 // One warm incremental-BMC solver, shared across jobs. The clause bank
@@ -91,7 +88,7 @@ struct BmcSession {
 // their session alive through shared ownership.
 class BmcSessionBank {
  public:
-  explicit BmcSessionBank(std::size_t capacity) : capacity_(capacity) {}
+  explicit BmcSessionBank(std::size_t capacity) : lru_(capacity) {}
 
   // Returns the session for this exact instance, creating it (empty — the
   // caller constructs the IncrementalBmc under the session mutex) on first
@@ -103,15 +100,8 @@ class BmcSessionBank {
   std::size_t size() const;
 
  private:
-  struct Entry {
-    std::string key;
-    std::shared_ptr<BmcSession> session;
-  };
-
   mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  Lru<std::shared_ptr<BmcSession>> lru_;
 };
 
 }  // namespace rtlsat::serve

@@ -4,26 +4,15 @@ namespace rtlsat::serve {
 
 std::optional<ResultMsg> ExactCache::lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
+  const ResultMsg* hit = lru_.find(key);
+  if (hit == nullptr) return std::nullopt;
   ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->result;
+  return *hit;
 }
 
 void ExactCache::insert(const std::string& key, ResultMsg result) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (const auto it = index_.find(key); it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (capacity_ == 0) return;
-  lru_.push_front(Entry{key, std::move(result)});
-  index_.emplace(lru_.front().key, lru_.begin());
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-  }
+  if (lru_.find(key) == nullptr) lru_.insert(key, std::move(result));
 }
 
 std::size_t ExactCache::size() const {
@@ -40,14 +29,13 @@ std::optional<CachedResult> ResultCache::lookup(const ir::CanonicalCone& cone,
                                                 bool value) {
   const std::string key = make_key(cone, value);
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
+  const CachedResult* hit = lru_.find(key);
+  if (hit == nullptr) {
     ++misses_;
     return std::nullopt;
   }
   ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->result;
+  return *hit;
 }
 
 void ResultCache::insert(const ir::CanonicalCone& cone, bool value,
@@ -58,18 +46,7 @@ void ResultCache::insert(const ir::CanonicalCone& cone, bool value,
   }
   std::string key = make_key(cone, value);
   std::lock_guard<std::mutex> lock(mu_);
-  if (const auto it = index_.find(key); it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  if (capacity_ == 0) return;
-  lru_.push_front(Entry{std::move(key), std::move(result)});
-  index_.emplace(lru_.front().key, lru_.begin());
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
+  if (lru_.find(key) == nullptr) lru_.insert(std::move(key), std::move(result));
 }
 
 std::size_t ResultCache::size() const {
@@ -89,7 +66,7 @@ std::int64_t ResultCache::misses() const {
 
 std::int64_t ResultCache::evictions() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
+  return lru_.evictions();
 }
 
 }  // namespace rtlsat::serve

@@ -17,46 +17,35 @@
 // NetIds. Inputs outside the cone cannot affect the goal (that is what a
 // cone is), so the caller reports 0 for them.
 //
-// Concurrency: one mutex around a textbook LRU (hash map into an intrusive
-// list). Lookups are a string hash + compare — nanoseconds against the
-// seconds a solve costs — so a sharded design would be complexity without
-// a measurable win; the loadgen p50 numbers in docs/serve.md back this up.
+// Concurrency: one mutex around serve/lru.h's bounded LRU. Lookups are a
+// string hash + compare — nanoseconds against the seconds a solve costs —
+// so a sharded design would be complexity without a measurable win; the
+// loadgen p50 numbers in docs/serve.md back this up.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/hdpll.h"
 #include "ir/cone.h"
+#include "serve/lru.h"
 #include "serve/protocol.h"
 
 namespace rtlsat::serve {
 
-// Injective key for a byte-identical request; `goal` is one .rtl token so
-// the newline separators cannot be forged. Shared by the exact-text tier
-// below and by serve/bank.h's pool keying.
-inline std::string exact_request_key(const std::string& rtl,
-                                     const std::string& goal, bool value) {
-  std::string key = goal;
-  key += value ? "\n1\n" : "\n0\n";
-  key += rtl;
-  return key;
-}
-
 // Exact-text front tier (L1): complete result messages keyed by the
-// byte-identical (rtl, goal, value) request. A hit skips the parse and the
-// canonicalization entirely — this is what makes an *identical* repeat
-// query microseconds, while the canonical tier below handles merely
-// *isomorphic* repeats. Sound because identical text parses to the
-// identical circuit: verdict, witness, and input names all transfer as-is.
+// byte-identical (rtl, goal, value) request (serve/lru.h's
+// exact_request_key). A hit skips the parse and the canonicalization
+// entirely — this is what makes an *identical* repeat query microseconds,
+// while the canonical tier below handles merely *isomorphic* repeats.
+// Sound because identical text parses to the identical circuit: verdict,
+// witness, and input names all transfer as-is.
 class ExactCache {
  public:
-  explicit ExactCache(std::size_t capacity) : capacity_(capacity) {}
+  explicit ExactCache(std::size_t capacity) : lru_(capacity) {}
 
   std::optional<ResultMsg> lookup(const std::string& key);
   // Only decisive verdicts belong here; the caller filters.
@@ -66,15 +55,8 @@ class ExactCache {
   std::int64_t hits() const;
 
  private:
-  struct Entry {
-    std::string key;
-    ResultMsg result;
-  };
-
   mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  Lru<ResultMsg> lru_;
   std::int64_t hits_ = 0;
 };
 
@@ -93,7 +75,7 @@ struct CachedResult {
 
 class ResultCache {
  public:
-  explicit ResultCache(std::size_t capacity) : capacity_(capacity) {}
+  explicit ResultCache(std::size_t capacity) : lru_(capacity) {}
 
   // Looks up the (cone, value) pair and, on a hit, bumps it to
   // most-recently-used. Undecided statuses are never stored, so a hit is
@@ -121,18 +103,10 @@ class ResultCache {
     return (value ? "1" : "0") + cone.text;
   }
 
-  struct Entry {
-    std::string key;
-    CachedResult result;
-  };
-
   mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  Lru<CachedResult> lru_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
-  std::int64_t evictions_ = 0;
 };
 
 }  // namespace rtlsat::serve

@@ -202,22 +202,73 @@ std::string encode_job_error(std::int64_t seq, std::uint64_t job,
   return w.take();
 }
 
+namespace {
+
+// Every ServerStats field, each key prefixed with `prefix`: the stats
+// frame writes them bare, the time series under "serve.".
+void write_stats_fields(JsonWriter& w, const ServerStats& stats,
+                        const std::string& prefix) {
+  const auto key = [&](const char* name) -> JsonWriter& {
+    return w.key(prefix + name);
+  };
+  key("uptime_s").value(stats.uptime_seconds);
+  key("connections").value(stats.connections);
+  key("queue_depth").value(stats.queue_depth);
+  key("in_flight").value(stats.in_flight);
+  key("jobs_done").value(stats.jobs_done);
+  key("cache_hits").value(stats.cache_hits);
+  key("cache_misses").value(stats.cache_misses);
+  key("cache_entries").value(stats.cache_entries);
+  key("bank_pools").value(stats.bank_pools);
+  key("bmc_sessions").value(stats.bmc_sessions);
+  key("cache_hit_ratio").value(stats.cache_hit_ratio);
+  key("jobs_per_s").value(stats.jobs_per_second);
+}
+
+}  // namespace
+
 std::string encode_stats(std::int64_t seq, const ServerStats& stats) {
   JsonWriter w = server_header("stats", seq);
-  w.key("uptime_s").value(stats.uptime_seconds);
-  w.key("connections").value(stats.connections);
-  w.key("queue_depth").value(stats.queue_depth);
-  w.key("in_flight").value(stats.in_flight);
-  w.key("jobs_done").value(stats.jobs_done);
-  w.key("cache_hits").value(stats.cache_hits);
-  w.key("cache_misses").value(stats.cache_misses);
-  w.key("cache_entries").value(stats.cache_entries);
-  w.key("bank_pools").value(stats.bank_pools);
-  w.key("bmc_sessions").value(stats.bmc_sessions);
-  w.key("cache_hit_ratio").value(stats.cache_hit_ratio);
-  w.key("jobs_per_s").value(stats.jobs_per_second);
+  write_stats_fields(w, stats, "");
   w.end_object();
   return w.take();
+}
+
+std::vector<std::string> encode_sample(const StatsSample& sample,
+                                       const StatsSample* previous,
+                                       const trace::ProcMemory& memory) {
+  std::vector<std::string> lines;
+  JsonWriter w;
+  w.begin_object();
+  w.key("t_s").value(sample.t_s);
+  w.key("source").value("main");
+  write_stats_fields(w, sample.stats, "serve.");
+  if (previous != nullptr && sample.t_s > previous->t_s) {
+    const double dt = sample.t_s - previous->t_s;
+    const auto rate = [&](const char* name, std::int64_t now,
+                          std::int64_t before) {
+      w.key(name).value(static_cast<double>(now - before) / dt);
+    };
+    rate("serve.jobs_done_per_s", sample.stats.jobs_done,
+         previous->stats.jobs_done);
+    rate("serve.cache_hits_per_s", sample.stats.cache_hits,
+         previous->stats.cache_hits);
+    rate("serve.cache_misses_per_s", sample.stats.cache_misses,
+         previous->stats.cache_misses);
+  }
+  w.end_object();
+  lines.push_back(w.take());
+  if (memory.ok) {
+    JsonWriter p;
+    p.begin_object();
+    p.key("t_s").value(sample.t_s);
+    p.key("source").value("process");
+    p.key("rss_kb").value(memory.rss_kb);
+    p.key("rss_peak_kb").value(memory.rss_peak_kb);
+    p.end_object();
+    lines.push_back(p.take());
+  }
+  return lines;
 }
 
 std::string encode_pong(std::int64_t seq) {

@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "trace/memory.h"
+
 namespace rtlsat::serve {
 
 // Version of the wire schema, stamped as "v" on every server frame.
@@ -123,6 +125,21 @@ std::string encode_error(std::int64_t seq, const std::string& message);
 std::string encode_job_error(std::int64_t seq, std::uint64_t job,
                              const std::string& message);
 std::string encode_stats(std::int64_t seq, const ServerStats& stats);
+
+// One sample of the `rtlsat serve --metrics` time series
+// (docs/observability.md "Time-series schema").
+struct StatsSample {
+  double t_s = 0;  // seconds on the sampler's clock
+  ServerStats stats;
+};
+// The JSONL lines of `sample`: a "main" line with every ServerStats field
+// under its serve.* name (the stats frame's keys), plus
+// serve.{jobs_done,cache_hits,cache_misses}_per_s differenced against
+// `previous` (no rates when it is null or not older), then a "process"
+// line with `memory` unless !memory.ok.
+std::vector<std::string> encode_sample(const StatsSample& sample,
+                                       const StatsSample* previous,
+                                       const trace::ProcMemory& memory);
 std::string encode_pong(std::int64_t seq);
 std::string encode_bye(std::int64_t seq);
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "ir/cone.h"
-#include "metrics/metrics.h"
 #include "parser/rtl_format.h"
 #include "portfolio/portfolio.h"
 #include "serve/net.h"
@@ -134,15 +133,6 @@ Server::~Server() {
 bool Server::start(std::string* error) {
   listen_fd_ = listen_tcp(options_.host, options_.port, &port_, error);
   if (listen_fd_ < 0) return false;
-  if (options_.metrics != nullptr) {
-    metrics::MetricsRegistry* m = options_.metrics;
-    gauge_queue_depth_ = m->gauge("serve.queue_depth");
-    gauge_in_flight_ = m->gauge("serve.in_flight");
-    gauge_connections_ = m->gauge("serve.connections");
-    gauge_jobs_done_ = m->gauge("serve.jobs_done", {}, /*monotone=*/true);
-    gauge_cache_hits_ = m->gauge("serve.cache_hits", {}, /*monotone=*/true);
-    gauge_cache_misses_ = m->gauge("serve.cache_misses", {}, /*monotone=*/true);
-  }
   uptime_.reset();
   started_.store(true);
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -154,6 +144,10 @@ bool Server::start(std::string* error) {
 }
 
 void Server::drain() {
+  // Under queue_mu_ so every worker's exit, and therefore wait()'s
+  // listen_fd_ reset and the destructor, happen after this returns: a
+  // signal thread may call drain() while the main thread sits in wait().
+  std::lock_guard<std::mutex> lock(queue_mu_);
   draining_.store(true);
   // Unblocks the accept loop: accept(2) fails once the listening socket is
   // shut down. The fd itself is closed in wait(), after the thread joined.
@@ -213,16 +207,6 @@ ServerStats Server::snapshot() const {
   return s;
 }
 
-void Server::publish_gauges() {
-  if (gauge_queue_depth_ == nullptr) return;
-  gauge_queue_depth_->set(queue_depth_.load());
-  gauge_in_flight_->set(in_flight_.load());
-  gauge_connections_->set(open_connections_.load());
-  gauge_jobs_done_->set(jobs_done_.load());
-  gauge_cache_hits_->set(cache_.hits() + exact_cache_.hits());
-  gauge_cache_misses_->set(cache_.misses());
-}
-
 void Server::accept_loop() {
   for (;;) {
     const int fd = accept_one(listen_fd_);
@@ -233,7 +217,6 @@ void Server::accept_loop() {
     }
     auto conn = std::make_shared<Connection>(fd);
     open_connections_.fetch_add(1);
-    publish_gauges();
     std::lock_guard<std::mutex> lock(conns_mu_);
     conns_.push_back(conn);
     conn_threads_.emplace_back([this, conn] { connection_loop(conn); });
@@ -294,7 +277,6 @@ void Server::connection_loop(std::shared_ptr<Connection> conn) {
                  conns_.end());
   }
   open_connections_.fetch_sub(1);
-  publish_gauges();
 }
 
 void Server::handle_solve(const std::shared_ptr<Connection>& conn,
@@ -324,7 +306,6 @@ void Server::handle_solve(const std::shared_ptr<Connection>& conn,
           return encode_result(seq, job_id, *hit);
         });
         jobs_done_.fetch_add(1);
-        publish_gauges();
         return;
       }
     }
@@ -381,7 +362,6 @@ void Server::handle_solve(const std::shared_ptr<Connection>& conn,
         return encode_result(seq, job_id, *hit);
       });
       jobs_done_.fetch_add(1);
-      publish_gauges();
       return;
     }
   }
@@ -452,7 +432,6 @@ void Server::enqueue_job(const std::shared_ptr<Job>& job) {
     return;
   }
   queue_cv_.notify_one();
-  publish_gauges();
 }
 
 void Server::handle_cancel(const std::shared_ptr<Connection>& conn,
@@ -527,10 +506,8 @@ void Server::worker_loop() {
       queue_depth_.fetch_sub(1);
     }
     in_flight_.fetch_add(1);
-    publish_gauges();
     run_job(job);
     in_flight_.fetch_sub(1);
-    publish_gauges();
   }
 }
 
@@ -722,7 +699,6 @@ void Server::finish_job(const std::shared_ptr<Job>& job,
     active_.erase(job->id);
   }
   jobs_done_.fetch_add(1);
-  publish_gauges();
   job->conn->send(
       [&](std::int64_t seq) { return encode_result(seq, job->id, msg); });
 }

@@ -40,11 +40,6 @@
 #include "serve/protocol.h"
 #include "util/timer.h"
 
-namespace rtlsat::metrics {
-class Gauge;
-class MetricsRegistry;
-}  // namespace rtlsat::metrics
-
 namespace rtlsat::serve {
 
 // The strongest single-solver configuration (+S+P): BMC sessions run one
@@ -77,8 +72,6 @@ struct ServerOptions {
   // trusting it; a failed replay falls back to a fresh solve. One linear
   // pass per hit — cheap insurance on the canonicalization, on by default.
   bool verify_cache_hits = true;
-  // serve.* gauges land here when set (borrowed; must outlive the server).
-  metrics::MetricsRegistry* metrics = nullptr;
   double progress_interval_seconds = 0.25;
 };
 
@@ -129,7 +122,6 @@ class Server {
   // the canonical-order model and (optionally) replays it. False ⟹ treat
   // as a miss.
   bool try_cache_hit(const std::shared_ptr<Job>& job);
-  void publish_gauges();
 
   ServerOptions options_;
   int listen_fd_ = -1;
@@ -168,14 +160,6 @@ class Server {
   std::atomic<std::int64_t> jobs_done_{0};
   std::atomic<std::int64_t> in_flight_{0};
   std::atomic<std::int64_t> open_connections_{0};
-
-  // serve.* instrument handles; null when options_.metrics is null.
-  metrics::Gauge* gauge_queue_depth_ = nullptr;
-  metrics::Gauge* gauge_in_flight_ = nullptr;
-  metrics::Gauge* gauge_connections_ = nullptr;
-  metrics::Gauge* gauge_jobs_done_ = nullptr;
-  metrics::Gauge* gauge_cache_hits_ = nullptr;
-  metrics::Gauge* gauge_cache_misses_ = nullptr;
 };
 
 }  // namespace rtlsat::serve

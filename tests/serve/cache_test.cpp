@@ -135,6 +135,35 @@ TEST(ExactCache, BoundedLru) {
   EXPECT_FALSE(cache.lookup(exact_request_key("b", "g", true)).has_value());
 }
 
+TEST(ExactCache, ReinsertRefreshesRecencyWithoutReplacing) {
+  ExactCache cache(2);
+  ResultMsg sat;
+  sat.verdict = "sat";
+  ResultMsg unsat;
+  unsat.verdict = "unsat";
+  const std::string a = exact_request_key("a", "g", true);
+  const std::string b = exact_request_key("b", "g", true);
+  cache.insert(a, sat);
+  cache.insert(b, sat);
+  cache.insert(a, unsat);  // refresh only; the stored result is kept
+  cache.insert(exact_request_key("c", "g", true), sat);
+  const auto hit = cache.lookup(a);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->verdict, "sat");
+  EXPECT_FALSE(cache.lookup(b).has_value());
+}
+
+TEST(ExactCache, ZeroCapacityStoresNothing) {
+  ExactCache cache(0);
+  ResultMsg msg;
+  msg.verdict = "unsat";
+  const std::string key = exact_request_key("a", "g", true);
+  cache.insert(key, msg);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.hits(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Clause bank
 
@@ -183,6 +212,56 @@ TEST(ClauseBank, EvictedEntryStaysAliveForItsCheckout) {
   EXPECT_NE(again.pool, a.pool);
   EXPECT_EQ(again.worker_id_base, 0);
   EXPECT_EQ(a.pool->size(), 0u);  // usable, just no longer shared
+}
+
+TEST(ClauseBank, CheckoutRefreshesRecency) {
+  ClauseBank bank(2);
+  const BankCheckout a = bank.checkout("(circuit c1)", "g", true, 2);
+  const BankCheckout b = bank.checkout("(circuit c2)", "g", true, 2);
+  // Touch c1 so c2 is the victim when c3 arrives.
+  EXPECT_EQ(bank.checkout("(circuit c1)", "g", true, 2).pool, a.pool);
+  bank.checkout("(circuit c3)", "g", true, 2);
+  EXPECT_EQ(bank.size(), 2u);
+  EXPECT_EQ(bank.checkout("(circuit c1)", "g", true, 2).pool, a.pool);
+  EXPECT_NE(bank.checkout("(circuit c2)", "g", true, 2).pool, b.pool);
+}
+
+// ---------------------------------------------------------------------------
+// BMC session bank
+
+TEST(BmcSessionBank, SameKeyReturnsTheSameSession) {
+  BmcSessionBank bank(8);
+  const auto first = bank.checkout("(seq-circuit s)", "p", false);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(bank.checkout("(seq-circuit s)", "p", false), first);
+  // Different text, property, or goal shape each get their own session.
+  EXPECT_NE(bank.checkout("(seq-circuit t)", "p", false), first);
+  EXPECT_NE(bank.checkout("(seq-circuit s)", "q", false), first);
+  EXPECT_NE(bank.checkout("(seq-circuit s)", "p", true), first);
+  EXPECT_EQ(bank.size(), 4u);
+}
+
+TEST(BmcSessionBank, EvictedSessionStaysAliveForItsHolder) {
+  BmcSessionBank bank(1);
+  const auto held = bank.checkout("(seq-circuit s1)", "p", false);
+  held->bounds_solved = 7;
+  bank.checkout("(seq-circuit s2)", "p", false);  // evicts s1
+  EXPECT_EQ(bank.size(), 1u);
+  EXPECT_EQ(held->bounds_solved, 7);  // the holder's session is intact
+  // A new checkout of s1 starts over with a fresh session.
+  const auto again = bank.checkout("(seq-circuit s1)", "p", false);
+  EXPECT_NE(again, held);
+  EXPECT_EQ(again->bounds_solved, 0);
+}
+
+TEST(BmcSessionBank, ZeroCapacityHandsOutFreshUnsharedSessions) {
+  BmcSessionBank bank(0);
+  const auto a = bank.checkout("(seq-circuit s)", "p", false);
+  const auto b = bank.checkout("(seq-circuit s)", "p", false);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(bank.size(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/net.h"
 #include "trace/json.h"
@@ -245,6 +246,96 @@ TEST(Protocol, ParseServerMsgEnforcesVersionAndSeq) {
                                 &msg, &error));
   EXPECT_TRUE(parse_server_msg("{\"type\":\"pong\",\"v\":1,\"seq\":0}", &msg,
                                &error));
+}
+
+// ---------------------------------------------------------------------------
+// `serve --metrics` time series
+
+JsonValue parse_object(const std::string& line) {
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(json_parse(line, &doc, &error)) << error << ": " << line;
+  EXPECT_TRUE(doc.is_object()) << line;
+  return doc;
+}
+
+TEST(Sampler, FakeClockRatesAreExactAndFirstSampleHasNone) {
+  StatsSample first;
+  first.t_s = 0;
+  first.stats.jobs_done = 100;
+  first.stats.cache_hits = 40;
+  first.stats.cache_misses = 10;
+  first.stats.queue_depth = 50;
+  StatsSample second = first;
+  second.t_s = 2;
+  second.stats.jobs_done = 700;
+  second.stats.cache_hits = 41;
+  second.stats.queue_depth = 60;
+  const trace::ProcMemory no_memory;
+
+  const std::vector<std::string> a = encode_sample(first, nullptr, no_memory);
+  const std::vector<std::string> b = encode_sample(second, &first, no_memory);
+  ASSERT_EQ(a.size(), 1u);  // !memory.ok: no process line
+  ASSERT_EQ(b.size(), 1u);
+  const JsonValue x = parse_object(a[0]);
+  const JsonValue y = parse_object(b[0]);
+  EXPECT_EQ(x.find("source")->string, "main");
+  EXPECT_EQ(x.find("t_s")->number, 0.0);
+  EXPECT_EQ(y.find("t_s")->number, 2.0);
+  EXPECT_EQ(x.find("serve.jobs_done")->number, 100);
+  EXPECT_EQ(y.find("serve.jobs_done")->number, 700);
+  EXPECT_EQ(y.find("serve.queue_depth")->number, 60);
+  for (const char* rate : {"serve.jobs_done_per_s", "serve.cache_hits_per_s",
+                           "serve.cache_misses_per_s"}) {
+    EXPECT_EQ(x.find(rate), nullptr) << rate;
+    ASSERT_NE(y.find(rate), nullptr) << rate;
+  }
+  EXPECT_DOUBLE_EQ(y.find("serve.jobs_done_per_s")->number, 300.0);
+  EXPECT_DOUBLE_EQ(y.find("serve.cache_hits_per_s")->number, 0.5);
+  EXPECT_DOUBLE_EQ(y.find("serve.cache_misses_per_s")->number, 0.0);
+  // Levels never get a rate.
+  EXPECT_EQ(y.find("serve.queue_depth_per_s"), nullptr);
+  // A previous sample that is not older gives no rate either.
+  const JsonValue z = parse_object(encode_sample(second, &second, no_memory)[0]);
+  EXPECT_EQ(z.find("serve.jobs_done_per_s"), nullptr);
+}
+
+// The main line carries every stats-frame field under its serve.* name.
+TEST(Sampler, MainLineCarriesEveryStatsField) {
+  StatsSample sample;
+  sample.t_s = 1.5;
+  sample.stats.uptime_seconds = 1.5;
+  sample.stats.bmc_sessions = 3;
+  const JsonValue main_line =
+      parse_object(encode_sample(sample, nullptr, trace::ProcMemory{})[0]);
+  const JsonValue stats_frame = parse_object(encode_stats(0, sample.stats));
+  int fields = 0;
+  for (const auto& [key, value] : stats_frame.object) {
+    if (key == "v" || key == "seq" || key == "type") continue;
+    const JsonValue* sampled = main_line.find("serve." + key);
+    ASSERT_NE(sampled, nullptr) << key;
+    EXPECT_EQ(sampled->number, value.number) << key;
+    ++fields;
+  }
+  EXPECT_EQ(fields, 12);
+  EXPECT_EQ(main_line.find("serve.bmc_sessions")->number, 3);
+}
+
+TEST(Sampler, WritesProcessLine) {
+  StatsSample sample;
+  sample.t_s = 0.25;
+  trace::ProcMemory memory;
+  memory.ok = true;
+  memory.rss_kb = 14200;
+  memory.rss_peak_kb = 14800;
+  const std::vector<std::string> lines =
+      encode_sample(sample, nullptr, memory);
+  ASSERT_EQ(lines.size(), 2u);
+  const JsonValue process = parse_object(lines[1]);
+  EXPECT_EQ(process.find("source")->string, "process");
+  EXPECT_EQ(process.find("t_s")->number, 0.25);
+  EXPECT_EQ(process.find("rss_kb")->number, 14200);
+  EXPECT_EQ(process.find("rss_peak_kb")->number, 14800);
 }
 
 // ---------------------------------------------------------------------------

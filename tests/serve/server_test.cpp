@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -430,6 +431,51 @@ TEST(ServerTest, ShutdownRequestDrainsServer) {
   ASSERT_TRUE(client.shutdown_server(&error)) << error;
   client.disconnect();
   server.wait();
+}
+
+// Zero drift: a thread sampling snapshot() into the time series every 1 ms
+// (`serve --metrics`, only harder) must not change what a served solve
+// returns.
+TEST(ZeroDrift, SnapshotSamplingDoesNotChangeAServedSolve) {
+  bmc::BmcInstance instance = bmc::unroll(itc99::build("b01"), "1", 10);
+  instance.circuit.set_name("b01_1_k10");
+  SolveRequest request;
+  request.rtl = parser::write_circuit(instance.circuit);
+  request.goal = instance.circuit.net_name(instance.goal);
+  request.jobs = 1;
+  request.deterministic = true;
+
+  const auto solve = [&](bool sampled, std::int64_t* samples) {
+    Harness h;
+    std::atomic<bool> done{false};
+    std::thread sampler;
+    if (sampled) {
+      sampler = std::thread([&] {
+        StatsSample previous;
+        for (std::int64_t n = 0; !done.load(); ++n) {
+          const ServerStats stats = h.server.snapshot();
+          const StatsSample now{stats.uptime_seconds, stats};
+          encode_sample(now, n > 0 ? &previous : nullptr, trace::ProcMemory{});
+          previous = now;
+          *samples = n + 1;
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+    }
+    ResultMsg result;
+    std::string error;
+    EXPECT_TRUE(h.client.solve(request, &result, &error)) << error;
+    done.store(true);
+    if (sampler.joinable()) sampler.join();
+    return result;
+  };
+  std::int64_t samples = 0;
+  const ResultMsg baseline = solve(false, &samples);
+  const ResultMsg sampled = solve(true, &samples);
+  EXPECT_EQ(baseline.verdict, "sat");
+  EXPECT_EQ(sampled.verdict, baseline.verdict);
+  EXPECT_EQ(sampled.model, baseline.model);
+  EXPECT_GE(samples, 1);
 }
 
 }  // namespace

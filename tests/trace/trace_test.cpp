@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -291,6 +293,40 @@ TEST(Tracer, CloseIsIdempotentAndDisables) {
   tracer.record(EventKind::kRestart, 0, 2);  // dropped: closed
   tracer.close();                            // idempotent
   EXPECT_EQ(tracer.events_recorded(), 1);
+}
+
+// Crash flush: buffered sinks survive an abort().
+TEST(CrashFlushDeathTest, AbortFlushesBufferedTracerSinks) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string jsonl = temp_path("rtlsat_crash_trace.jsonl");
+  const std::string chrome = temp_path("rtlsat_crash_trace.trace.json");
+  std::filesystem::remove(jsonl);
+  std::filesystem::remove(chrome);
+
+  EXPECT_DEATH(
+      {
+        TracerOptions options;
+        options.jsonl_path = jsonl;
+        options.chrome_path = chrome;
+        Tracer tracer(options);
+        for (int i = 0; i < 50; ++i) tracer.record(EventKind::kConflict, 1, i);
+        // Events sit in the ring (capacity 16k, nothing flushed yet); the
+        // SIGABRT handler must write them out before the process dies.
+        std::abort();
+      },
+      "");
+
+  const std::string text = read_file(jsonl);
+  EXPECT_GE(std::count(text.begin(), text.end(), '\n'), 50);
+  EXPECT_NE(text.find("\"conflict\""), std::string::npos);
+
+  // The Chrome trace got its closing footer on the signal path, so the file
+  // parses as a complete JSON document.
+  JsonValue chrome_doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(read_file(chrome), &chrome_doc, &error)) << error;
+  std::filesystem::remove(jsonl);
+  std::filesystem::remove(chrome);
 }
 
 // ---------------------------------------------------------------------------
